@@ -6,8 +6,8 @@
 //
 // Two report shapes are understood, keyed by which fields are present:
 //
-//   - Speedup reports (kernelbench's BENCH_pr8.json, auxbench's
-//     BENCH_pr10.json): the "speedups" map of machine-independent ratios.
+//   - Speedup reports (kernelbench's BENCH_pr8.json): the "speedups" map of
+//     machine-independent ratios.
 //     Every baseline key must be present in the fresh report at no less than
 //     threshold × its baseline value. Ratios, not wall-clock seconds, cross
 //     runner generations safely.
@@ -17,7 +17,7 @@
 //     -max-overhead.
 //
 // Absolute floors can be added with repeated -min key=value flags (e.g.
-// -min k6/compiled=1.2), for speedups that must hold regardless of what the
+// -min k5/generated=2), for speedups that must hold regardless of what the
 // baseline drifted to.
 //
 // Run with:

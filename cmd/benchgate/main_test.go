@@ -93,7 +93,7 @@ func TestGateOverheadReports(t *testing.T) {
 // producers' formats — a field rename in a bench would otherwise silently
 // turn the gate into a no-op.
 func TestGateAgainstCheckedInShapes(t *testing.T) {
-	for _, name := range []string{"BENCH_pr8.json", "BENCH_pr9.json", "BENCH_pr10.json"} {
+	for _, name := range []string{"BENCH_pr8.json", "BENCH_pr9.json"} {
 		path := filepath.Join("..", "..", name)
 		r, err := readReport(path)
 		if err != nil {

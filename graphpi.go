@@ -34,11 +34,9 @@ import (
 	"net"
 	"net/http"
 	"os"
-	"runtime"
 	"time"
 
 	"graphpi/internal/approx"
-	"graphpi/internal/auxgraph"
 	"graphpi/internal/cluster"
 	"graphpi/internal/codegen"
 	"graphpi/internal/core"
@@ -82,22 +80,14 @@ func (g *Graph) StatsString() string { return g.g.Stats().String() }
 // Optimize returns a hybrid-adjacency view of the graph: vertices are
 // relabeled so ids descend by degree (restriction windows prune earlier,
 // hubs cluster at the front of the id space) and the top vertices by degree
-// get packed adjacency bitsets, so hub intersections cost O(|small side|).
+// get packed adjacency bitsets within hubMemBudgetBytes of memory
+// (<= 0 → a 96 MiB default), so hub intersections cost O(|small side|).
 // Plans run against the optimized view typically count 1.5-2x faster on
 // power-law graphs; Enumerate still reports original vertex ids. The
-// original graph is not modified.
-//
-// viewBudgetBytes is the unified view budget (<= 0 → a 96 MiB default): one
-// allocator (internal/auxgraph.PlanBudget) splits it between the hub bitmaps
-// built here and the per-worker auxiliary-graph scratch that runs with
-// WithAux consume at execution time, so the two acceleration structures are
-// sized together instead of competing unaccounted. Pass the same value to
-// WithViewBudget so runs agree with the view.
-//
-// Vertices only become hubs above a degree floor of 64; use OptimizeHubs to
-// tune it.
-func (g *Graph) Optimize(viewBudgetBytes int64) *Graph {
-	return g.OptimizeHubs(viewBudgetBytes, 0)
+// original graph is not modified. Vertices only become hubs above a degree
+// floor of 64; use OptimizeHubs to tune it.
+func (g *Graph) Optimize(hubMemBudgetBytes int64) *Graph {
+	return g.OptimizeHubs(hubMemBudgetBytes, 0)
 }
 
 // OptimizeHubs is Optimize with an explicit hub degree floor: only vertices
@@ -106,13 +96,9 @@ func (g *Graph) Optimize(viewBudgetBytes int64) *Graph {
 // coverage on flatter degree distributions; snapshots of the view persist
 // both the budget and the floor, so SaveBinary/LoadGraph round trips
 // rebuild the same hub set.
-func (g *Graph) OptimizeHubs(viewBudgetBytes int64, hubDegreeFloor int) *Graph {
+func (g *Graph) OptimizeHubs(hubMemBudgetBytes int64, hubDegreeFloor int) *Graph {
 	og := g.g.Reorder()
-	// The hub share of the unified view budget; the aux share is consumed
-	// per run, per worker (see RunOptions.AuxBudget), sized by the actual
-	// schedule. Here the nominal single deep step stands in for it.
-	split := auxgraph.PlanBudget(viewBudgetBytes, og.NumVertices(), runtime.GOMAXPROCS(0), 1)
-	og.BuildHubBitmaps(split.HubBytes, hubDegreeFloor)
+	og.BuildHubBitmaps(hubMemBudgetBytes, hubDegreeFloor)
 	return &Graph{g: og}
 }
 
@@ -290,8 +276,6 @@ type options struct {
 	tier      core.Tier
 	stats     *telemetry.RunStats
 	tracer    *telemetry.Tracer
-	aux       core.AuxMode
-	auxBudget int64
 }
 
 // WithWorkers sets the number of worker goroutines (default: GOMAXPROCS).
@@ -338,33 +322,6 @@ const (
 
 // WithTier selects the counting execution tier (see Tier).
 func WithTier(t Tier) Option { return func(o *options) { o.tier = t } }
-
-// AuxMode selects auxiliary-graph pruning: per-root pruned adjacency rows
-// (N(v) ∩ N(root)) materialized lazily and reused across sibling subtrees in
-// place of full-row intersections. AuxOff (the default) never builds them;
-// AuxOn enables them when the plan is structurally eligible and the cost
-// model predicts the reuse to clear the build cost; AuxForce skips the cost
-// gate (benchmarks). Counts are bit-identical in every mode.
-type AuxMode = core.AuxMode
-
-const (
-	AuxOff   = core.AuxOff
-	AuxOn    = core.AuxOn
-	AuxForce = core.AuxForce
-)
-
-// WithAux selects auxiliary-graph pruning for the plan's runs (see AuxMode).
-func WithAux(m AuxMode) Option { return func(o *options) { o.aux = m } }
-
-// WithViewBudget sets the unified view budget the plan's runs size their
-// auxiliary-graph scratch from (<= 0 → a 96 MiB default). Only the aux share
-// of the split is consumed at run time; pass the same value to Optimize so
-// the hub share agrees. See internal/auxgraph.PlanBudget.
-func WithViewBudget(bytes int64) Option { return func(o *options) { o.auxBudget = bytes } }
-
-// ParseAuxMode parses an aux mode name as accepted by the CLI and the query
-// service ("off", "on", "force").
-func ParseAuxMode(s string) (AuxMode, error) { return core.ParseAuxMode(s) }
 
 // RunStats is the per-level execution telemetry a run collects: candidate
 // scans and set sizes, intersection counts by kernel family, restriction
@@ -559,8 +516,6 @@ func (pl *Plan) runOptions() core.RunOptions {
 		EdgeParallel: pl.opts.edgePar,
 		Tier:         pl.opts.tier,
 		Stats:        pl.opts.stats,
-		Aux:          pl.opts.aux,
-		AuxBudget:    pl.opts.auxBudget,
 	}
 }
 

@@ -7,6 +7,7 @@ import (
 	"net/http"
 	"os"
 	"path/filepath"
+	"runtime"
 	"sort"
 	"strings"
 	"sync"
@@ -527,6 +528,32 @@ func TestOptimizeHubsFacade(t *testing.T) {
 		if got != want {
 			t.Errorf("%s: count = %d, want %d", name, got, want)
 		}
+	}
+}
+
+// TestOptimizeHubsBudgetIgnoresGOMAXPROCS: the hub budget passes straight to
+// the bitmap builder, so a budget small enough to bind admits the same hub
+// set whatever GOMAXPROCS is, and the hub memory stays within it.
+func TestOptimizeHubsBudgetIgnoresGOMAXPROCS(t *testing.T) {
+	g := GenerateBA(4000, 5, 3)
+	const budget = 600_000 // about 1.2k of the 4k vertices' bitmaps
+	prev := runtime.GOMAXPROCS(0)
+	defer runtime.GOMAXPROCS(prev)
+	hubs := map[int]int{}
+	for _, procs := range []int{1, 8} {
+		runtime.GOMAXPROCS(procs)
+		og := g.OptimizeHubs(budget, 1)
+		hubs[procs] = og.g.NumHubs()
+		if got := og.g.HubMemoryBytes(); got > budget {
+			t.Errorf("GOMAXPROCS=%d: hub memory %d > budget %d", procs, got, budget)
+		}
+		if hubs[procs] == 0 || hubs[procs] >= og.NumVertices() {
+			t.Fatalf("GOMAXPROCS=%d: %d hubs of %d vertices; the budget must bind",
+				procs, hubs[procs], og.NumVertices())
+		}
+	}
+	if hubs[1] != hubs[8] {
+		t.Errorf("hub count depends on GOMAXPROCS: %d at 1, %d at 8", hubs[1], hubs[8])
 	}
 }
 

@@ -11,10 +11,10 @@ func TestDeterminism(t *testing.T) {
 	analysistest.Run(t, "testdata", determinism.Analyzer, "counts")
 }
 
-// TestDeterminismAuxBuildPath covers the auxiliary-graph build shape
-// (internal/auxgraph): flat vertex-id-keyed scratch must pass clean, while a
-// map-backed membership whose iteration order would reorder packed rows must
-// be flagged transitively from the annotated Row entry point.
+// TestDeterminismAuxBuildPath covers a lazily built per-root scratch: flat
+// vertex-id-keyed rows must pass clean, while a map-backed membership whose
+// iteration order would reorder packed rows must be flagged transitively
+// from the annotated Row entry point.
 func TestDeterminismAuxBuildPath(t *testing.T) {
 	analysistest.Run(t, "testdata", determinism.Analyzer, "auxrows")
 }

@@ -1,78 +1,22 @@
+// Package auxgraph keeps one budget helper that the benchmark module in
+// perfbench/ compiles against. It has no other users; new code should pass
+// its hub budget to graph.BuildHubBitmaps directly.
 package auxgraph
 
-// The unified view budget: one allocator sizes the graph-wide hub bitmaps
-// (graph.BuildHubBitmaps) and the per-worker auxiliary-graph scratch from a
-// single byte budget, replacing the previous hub-only budget knob. Hub
-// bitmaps accelerate intersections against the degree-ordered hot prefix;
-// aux rows shrink the intersections themselves on deep schedules — the two
-// compete for the same memory, so the split is made in one place with one
-// documented policy instead of two independent defaults.
+import "graphpi/internal/graph"
 
-// DefaultViewBudget is the total view-memory budget when the caller passes
-// none: the historical 64 MiB hub default plus a 32 MiB aux reserve, so a
-// default-configured graph keeps its exact pre-unification hub capacity.
-const DefaultViewBudget = 96 << 20
-
-// minWorkerArenaBytes is the smallest per-worker arena PlanBudget hands out;
-// anything smaller cannot hold even a few hub-degree rows, so the budget
-// goes to hub bitmaps instead.
-const minWorkerArenaBytes = 64 << 10
-
-// auxShareDiv caps the aux reserve at total/auxShareDiv: hub bitmaps serve
-// every schedule, aux rows only deep ones, so hubs keep the larger share.
-const auxShareDiv = 3
-
-// Split is the outcome of PlanBudget: the hub-bitmap share (pass to
-// BuildHubBitmaps) and the per-worker aux arena share (pass to New). Either
-// side can be zero when the budget or the schedule does not justify it.
+// Split is the outcome of PlanBudget.
 type Split struct {
 	// HubBytes is the budget for graph.BuildHubBitmaps.
 	HubBytes int64
-	// AuxArenaPerWorker is the arena byte budget for each worker's Aux.
-	AuxArenaPerWorker int64
-	// AuxIndexPerWorker is the fixed per-worker index cost (4 bytes/vertex)
-	// already charged against the aux share; informational.
-	AuxIndexPerWorker int64
 }
 
-// PlanBudget splits one view-memory budget between hub bitmaps and aux
-// scratch for a graph of n vertices searched by the given worker count.
-// deepSteps is the number of schedule intersection steps that can consume
-// pruned rows (0 when the schedule has no eligible level — the whole budget
-// then goes to hub bitmaps). total <= 0 selects DefaultViewBudget.
-//
-// Policy: the aux side is offered at most total/3, out of which each worker
-// pays a fixed 4n-byte vertex index before any row storage; if the per-worker
-// arena left after the index falls under 64 KiB the aux side is not worth
-// its own bookkeeping and the full budget goes to hubs. More eligible steps
-// raise the arena (more distinct rows stay live per root), bounded by the
-// share. workers < 1 is treated as 1.
+// PlanBudget returns the hub-bitmap budget for a view: total, or
+// graph.DefaultHubBudget when total <= 0. The vertex count, worker count and
+// step count are ignored. It stays only because perfbench/ calls it.
 func PlanBudget(total int64, n, workers, deepSteps int) Split {
 	if total <= 0 {
-		total = DefaultViewBudget
+		total = graph.DefaultHubBudget
 	}
-	if workers < 1 {
-		workers = 1
-	}
-	if deepSteps <= 0 || n <= 0 {
-		return Split{HubBytes: total}
-	}
-	idx := int64(n) * 4
-	reserve := total / auxShareDiv
-	perWorker := reserve/int64(workers) - idx
-	if perWorker < minWorkerArenaBytes {
-		return Split{HubBytes: total}
-	}
-	// Deep schedules keep more distinct rows hot per root; scale the arena
-	// with the step count but never past the reserved share.
-	want := int64(deepSteps) * (4 << 20)
-	if perWorker > want {
-		perWorker = want
-		reserve = (perWorker + idx) * int64(workers)
-	}
-	return Split{
-		HubBytes:          total - reserve,
-		AuxArenaPerWorker: perWorker,
-		AuxIndexPerWorker: idx,
-	}
+	return Split{HubBytes: total}
 }

@@ -358,52 +358,6 @@ func TestClusterHybridEquivalence(t *testing.T) {
 	}
 }
 
-// TestClusterMatchesAuxLocal pins the cluster data plane (which never builds
-// auxiliary graphs — the wire protocol runs the plain interpreter on every
-// rank) against local runs with auxiliary-graph pruning forced, over both the
-// chan and tcp transports: aux changes speed, never counts, so the backends
-// must stay bit-identical.
-func TestClusterMatchesAuxLocal(t *testing.T) {
-	g := graph.BarabasiAlbert(300, 6, 31)
-	cases := []struct {
-		pat    *pattern.Pattern
-		useIEP bool
-	}{
-		{pat: pattern.Clique(5), useIEP: false},
-		{pat: pattern.Clique(5), useIEP: true},
-		{pat: pattern.House(), useIEP: false},
-		{pat: pattern.Cycle6Tri(), useIEP: true},
-	}
-	for _, tc := range transportCases {
-		if tc.lossy {
-			continue // fault injection is covered elsewhere; this pins counts
-		}
-		t.Run(tc.name, func(t *testing.T) {
-			tr := tc.open(t, g, 3)
-			for _, c := range cases {
-				cfg := planFor(t, g, c.pat)
-				opt := core.RunOptions{Workers: 2, Aux: core.AuxForce}
-				var local int64
-				if c.useIEP {
-					local = cfg.CountIEP(g, opt)
-				} else {
-					local = cfg.Count(g, opt)
-				}
-				res, err := Run(cfg, g, Options{
-					Nodes: 3, WorkersPerNode: 2, UseIEP: c.useIEP, Transport: tr,
-				})
-				if err != nil {
-					t.Fatal(err)
-				}
-				if res.Count != local {
-					t.Errorf("%s iep=%v: cluster %d, local aux-forced %d",
-						c.pat, c.useIEP, res.Count, local)
-				}
-			}
-		})
-	}
-}
-
 func TestClusterDefaultsNormalize(t *testing.T) {
 	g := graph.GNP(50, 0.3, 5)
 	p := pattern.Triangle()

@@ -3,7 +3,6 @@ package codegen
 import (
 	"sync/atomic"
 
-	"graphpi/internal/auxgraph"
 	"graphpi/internal/graph"
 	"graphpi/internal/iep"
 	"graphpi/internal/schedule"
@@ -52,11 +51,6 @@ type State struct {
 	calc    *iep.Calculator
 	iepSets [][]uint32
 	iepBMs  []vertexset.Bitmap
-
-	// aux is the worker's auxiliary-graph scratch (nil when the run does
-	// not enable pruning); aux-marked step closures probe it and fall back
-	// to the full-row path on a miss, so counts never depend on it.
-	aux *auxgraph.Aux
 }
 
 // Compile binds a lowered Program to a data graph, building the closure
@@ -155,27 +149,6 @@ func (s *State) Count() int64 { return s.count }
 func (s *State) SetStats(st *telemetry.RunStats) { s.st = st }
 func (s *State) Stats() *telemetry.RunStats      { return s.st }
 
-// SetAux attaches auxiliary-graph scratch to this worker state; the kernel's
-// aux-marked closures serve intersections from it when possible. Aux returns
-// it for stats folding (nil when never attached). Counts are bit-identical
-// with and without scratch.
-func (s *State) SetAux(a *auxgraph.Aux) { s.aux = a }
-func (s *State) Aux() *auxgraph.Aux     { return s.aux }
-
-// beginAuxRoot switches the aux scratch to a new root subtree. One branch
-// when aux is disabled; the Neighbors fetch is the root row the engine reads
-// anyway.
-func (s *State) beginAuxRoot(v uint32) {
-	if s.aux == nil {
-		return
-	}
-	var bm vertexset.Bitmap
-	if s.k.hasHubs {
-		bm = s.g.HubBitmap(v)
-	}
-	s.aux.BeginRoot(v, s.g.Neighbors(v), bm)
-}
-
 // RunRoot executes the outermost loop over the vertex range [start, end).
 //
 //graphpi:deterministic
@@ -197,7 +170,6 @@ func (s *State) RunRoot(start, end int) {
 			return
 		}
 		s.bound[0] = uint32(v)
-		s.beginAuxRoot(uint32(v))
 		if steps0 != nil {
 			steps0(s)
 		}
@@ -230,7 +202,6 @@ func (s *State) RunRootEdges(start, end int) {
 			stop = end
 		}
 		s.bound[0] = v
-		s.beginAuxRoot(v)
 		if lst != nil {
 			lst.Scan(1, 0)
 		}
@@ -559,51 +530,7 @@ func (k *Kernel) compileSteps(steps []Step, d int) func(*State) {
 // interpreter's full hybrid dispatch (including the left-side probe):
 // dropping a bitmap probe trades O(|small|) walks for full merges and loses
 // far more than the skipped comparisons save.
-//
-// Aux-marked steps get a monomorphized aux-backed left… rather: an
-// aux-probing wrapper around the frozen base closure (see wrapAux); the
-// base runs unchanged whenever the scratch declines a row, so kernel
-// freezing and pruning compose instead of conflicting.
 func (k *Kernel) compileStep(st Step, d int) func(*State) {
-	base := k.compileStepBase(st, d)
-	return k.wrapAux(st, d, base)
-}
-
-// wrapAux wraps a step's base closure with the auxiliary-row probe. The
-// substitution is exact (see internal/auxgraph): for AuxCopy the pruned row
-// N(v_d) ∩ N(v0) IS the step's output; for AuxRight the left buffer is
-// contained in N(v0), so intersecting it with the pruned row equals
-// intersecting with the full row. A declined row falls back to base, so the
-// output is identical either way.
-func (k *Kernel) wrapAux(st Step, d int, base func(*State)) func(*State) {
-	out := st.Out
-	dep := st.Depth
-	switch st.Aux {
-	case AuxCopy:
-		return func(s *State) {
-			if row, ok := s.aux.Row(s.bound[dep]); ok {
-				s.recIntersect(d, telemetry.KernelAux)
-				s.bufs[out] = append(s.bufs[out][:0], row...)
-				return
-			}
-			base(s)
-		}
-	case AuxRight:
-		lb := st.LeftBuf
-		return func(s *State) {
-			if row, ok := s.aux.Row(s.bound[dep]); ok {
-				s.recIntersect(d, telemetry.KernelAux)
-				s.bufs[out] = vertexset.Intersect(s.bufs[out], s.bufs[lb], row)
-				return
-			}
-			base(s)
-		}
-	default:
-		return base
-	}
-}
-
-func (k *Kernel) compileStepBase(st Step, d int) func(*State) {
 	out := st.Out
 	dep := st.Depth
 	fromBuf := st.LeftBuf >= 0

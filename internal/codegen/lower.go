@@ -65,25 +65,6 @@ func (k KernelChoice) String() string {
 	}
 }
 
-// AuxMode marks a hoisted intersection as servable from the root's
-// auxiliary graph (internal/auxgraph): pruned rows N(v) ∩ N(v0) substitute
-// for full CSR rows without changing the result. The classification is
-// structural — core derives it from the plan — and the compiled backend
-// monomorphizes an aux-probing closure for marked steps when the run
-// enables pruning.
-type AuxMode uint8
-
-const (
-	// AuxNone: the step must use the full CSR row.
-	AuxNone AuxMode = iota
-	// AuxRight: the left operand is contained in N(v0), so the right row
-	// may be replaced by its pruned form.
-	AuxRight
-	// AuxCopy: the left operand is N(v0) itself, so the pruned row IS the
-	// result — a copy replaces the intersection.
-	AuxCopy
-)
-
 // Spec is the neutral, core-independent description of one executable
 // configuration: everything the two backends need, nothing engine-internal.
 type Spec struct {
@@ -107,20 +88,15 @@ type Spec struct {
 	// Kernels[d][i] freezes the kernel of Plan.Steps[d][i]; nil (or a
 	// short row) means KernelAdaptive.
 	Kernels [][]KernelChoice
-	// AuxModes[d][i] marks Plan.Steps[d][i] as aux-servable; nil (or a
-	// short row) means AuxNone. Ignored unless the compilation requests
-	// aux-backed closures.
-	AuxModes [][]AuxMode
 	// Pattern, Schedule, Restrictions are display strings for the source
 	// backend's generated header.
 	Pattern, Schedule, Restrictions string
 }
 
-// Step is one hoisted intersection with its frozen kernel and aux marking.
+// Step is one hoisted intersection with its frozen kernel.
 type Step struct {
 	schedule.Step
 	Kernel KernelChoice
-	Aux    AuxMode
 }
 
 // Level is one loop of the lowered nest.
@@ -219,11 +195,7 @@ func Lower(spec Spec) (*Program, error) {
 			if d < len(spec.Kernels) && i < len(spec.Kernels[d]) {
 				choice = spec.Kernels[d][i]
 			}
-			aux := AuxNone
-			if d < len(spec.AuxModes) && i < len(spec.AuxModes[d]) {
-				aux = spec.AuxModes[d][i]
-			}
-			lv.Steps = append(lv.Steps, Step{Step: st, Kernel: choice, Aux: aux})
+			lv.Steps = append(lv.Steps, Step{Step: st, Kernel: choice})
 		}
 		p.Levels[d] = lv
 	}

@@ -88,9 +88,6 @@ type Compiled struct {
 	scaleNum, scaleDen int64
 	// edgeOK reports whether edge-parallel root scheduling is available.
 	edgeOK bool
-	// aux reports that the closures carry aux-probing wrappers; the engine
-	// then attaches per-worker auxgraph scratch to every State.
-	aux bool
 }
 
 // Tier returns the tier this compilation runs on (TierCompiled or
@@ -101,7 +98,6 @@ type compiledKey struct {
 	g      *graph.Graph
 	useIEP bool
 	tier   Tier
-	aux    bool
 }
 
 // Compile builds (or returns the memoized) compiled execution of this
@@ -117,15 +113,6 @@ func (c *Config) Compile(g *graph.Graph, useIEP bool) (*Compiled, error) {
 // errors when the configuration has no static kernel; TierInterpret is not
 // a compilation and errors.
 func (c *Config) CompileTier(g *graph.Graph, useIEP bool, tier Tier) (*Compiled, error) {
-	return c.compileTier(g, useIEP, tier, false)
-}
-
-// compileTier is CompileTier with the aux-closure request the engine resolves
-// per run. Aux-probing and plain compilations memoize under separate keys:
-// the closures differ, but their counts are bit-identical. The generated tier
-// has no aux variant (static kernels predate the scratch); the engine never
-// requests one.
-func (c *Config) compileTier(g *graph.Graph, useIEP bool, tier Tier, aux bool) (*Compiled, error) {
 	switch tier {
 	case TierAuto:
 		if c.cliqueQ > 0 {
@@ -142,16 +129,13 @@ func (c *Config) compileTier(g *graph.Graph, useIEP bool, tier Tier, aux bool) (
 	default:
 		return nil, fmt.Errorf("core: tier %s is not a compiled tier", tier)
 	}
-	if tier == TierGenerated {
-		aux = false
-	}
-	key := compiledKey{g: g, useIEP: useIEP, tier: tier, aux: aux}
+	key := compiledKey{g: g, useIEP: useIEP, tier: tier}
 	c.compileMu.Lock()
 	defer c.compileMu.Unlock()
 	if cp, ok := c.compiled[key]; ok {
 		return cp, nil
 	}
-	cp, err := c.buildCompiled(g, useIEP, tier, aux)
+	cp, err := c.buildCompiled(g, useIEP, tier)
 	if err != nil {
 		return nil, err
 	}
@@ -162,7 +146,7 @@ func (c *Config) compileTier(g *graph.Graph, useIEP bool, tier Tier, aux bool) (
 	return cp, nil
 }
 
-func (c *Config) buildCompiled(g *graph.Graph, useIEP bool, tier Tier, aux bool) (*Compiled, error) {
+func (c *Config) buildCompiled(g *graph.Graph, useIEP bool, tier Tier) (*Compiled, error) {
 	cp := &Compiled{tier: tier, useIEP: useIEP, scaleNum: 1, scaleDen: 1}
 	if tier == TierGenerated {
 		fn, ok := gen.CliqueRange(c.cliqueQ)
@@ -185,10 +169,6 @@ func (c *Config) buildCompiled(g *graph.Graph, useIEP bool, tier Tier, aux bool)
 	spec := c.lowerSpec(useIEP)
 	if c.planParams != nil {
 		spec.Kernels = costmodel.FreezeKernels(c.plan, c.n, *c.planParams, g.NumHubs() > 0)
-	}
-	if aux {
-		spec.AuxModes = c.auxSpecModes(useIEP)
-		cp.aux = true
 	}
 	prog, err := codegen.Lower(spec)
 	if err != nil {

@@ -71,6 +71,7 @@ func TestCompiledTierMatrixNamedPatterns(t *testing.T) {
 	gHub.BuildHubBitmaps(1<<24, 8)
 	pats := []*pattern.Pattern{
 		pattern.P1(), pattern.P2(), pattern.P3(), pattern.P4(), pattern.P5(),
+		pattern.Cycle6Tri(), pattern.CliqueMinus(6),
 	}
 	if !testing.Short() {
 		pats = append(pats, pattern.P6())

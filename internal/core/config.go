@@ -69,10 +69,6 @@ type Config struct {
 	// cliqueQ is nonzero when the generated clique suite may substitute
 	// for this configuration (see detectCliqueKernel).
 	cliqueQ int
-	// auxModes[d][i] classifies plan.Steps[d][i] against the level-0
-	// auxiliary graph (see computeAuxModes); structural, independent of
-	// whether a run enables pruning.
-	auxModes [][]auxStepMode
 
 	compileMu sync.Mutex
 	// compiled memoizes compiled tiers per (graph, IEP, tier); guarded by
@@ -158,7 +154,6 @@ func NewConfig(pat *pattern.Pattern, sched schedule.Schedule, rs restrict.Set) (
 	}
 	c.computeIEPScaling()
 	c.detectCliqueKernel(windows)
-	c.computeAuxModes()
 	return c, nil
 }
 

@@ -6,7 +6,6 @@ import (
 	"sync/atomic"
 	"time"
 
-	"graphpi/internal/auxgraph"
 	"graphpi/internal/codegen"
 	"graphpi/internal/graph"
 	"graphpi/internal/iep"
@@ -69,15 +68,6 @@ type RunOptions struct {
 	// and without Stats; the disabled path pays one nil check per
 	// candidate scan. Allocate with telemetry.NewRunStats(cfg.N()).
 	Stats *telemetry.RunStats
-	// Aux selects auxiliary-graph pruning (per-root pruned adjacency rows
-	// reused across sibling subtrees; see internal/auxgraph and AuxMode).
-	// Off by default; counts are bit-identical in every mode.
-	Aux AuxMode
-	// AuxBudget is the total view-memory budget the aux scratch shares with
-	// the hub bitmaps (<= 0 → auxgraph.DefaultViewBudget). The run consumes
-	// only the aux share of the split (auxgraph.PlanBudget); the hub share
-	// was consumed when the graph view was optimized.
-	AuxBudget int64
 }
 
 func (o RunOptions) chunk(n, workers int) int {
@@ -220,25 +210,12 @@ func (c *Config) execute(g *graph.Graph, opt RunOptions, useIEP bool, visit func
 		return 0, true
 	}
 	workers := taskpool.Workers(opt.Workers)
-	// Aux resolution happens before tier resolution because the compiled
-	// tier monomorphizes aux-probing closures. The unified view budget is
-	// split here: the hub share was consumed when the graph view was
-	// optimized, the per-worker aux share sizes the scratch arenas below.
-	useAux := c.auxEnabled(opt.Aux, useIEP)
-	var auxArena int64
-	if useAux {
-		split := auxgraph.PlanBudget(opt.AuxBudget, nv, workers, c.auxDeepSteps(useIEP))
-		auxArena = split.AuxArenaPerWorker
-		if auxArena <= 0 {
-			useAux = false
-		}
-	}
 	// Tier resolution: counting runs prefer a compiled tier; enumeration
 	// and compile failures (an explicit TierGenerated without a static
 	// kernel, a spec the lowering rejects) fall back to the interpreter.
 	var comp *Compiled
 	if visit == nil && opt.Tier != TierInterpret {
-		comp, _ = c.compileTier(g, useIEP, opt.Tier, useAux)
+		comp, _ = c.CompileTier(g, useIEP, opt.Tier)
 	}
 	var stop, aborted atomic.Bool
 	if opt.Budget > 0 {
@@ -271,7 +248,7 @@ func (c *Config) execute(g *graph.Graph, opt RunOptions, useIEP bool, visit func
 		opt.EdgeParallel != EdgeParallelOff &&
 		(opt.EdgeParallel == EdgeParallelOn || workers > 1)
 	if comp != nil {
-		total := c.runCompiled(comp, g, opt, workers, nv, edgePar, auxArena, &stop)
+		total := c.runCompiled(comp, g, opt, workers, nv, edgePar, &stop)
 		return total, !aborted.Load()
 	}
 	runners := make([]*runner, workers)
@@ -285,10 +262,6 @@ func (c *Config) execute(g *graph.Graph, opt RunOptions, useIEP bool, visit func
 				r = newRunner(c, g, useIEP, visit, &stop)
 				if opt.Stats != nil {
 					r.st = telemetry.NewRunStats(c.n)
-				}
-				if useAux {
-					r.aux = auxgraph.New(g, auxArena)
-					r.auxModes = c.auxModes
 				}
 				runners[w] = r
 			}
@@ -307,7 +280,6 @@ func (c *Config) execute(g *graph.Graph, opt RunOptions, useIEP bool, visit func
 	for _, r := range runners {
 		if r != nil {
 			total += r.count
-			foldAuxStats(r.st, r.aux)
 			opt.Stats.Merge(r.st)
 		}
 	}
@@ -325,7 +297,7 @@ func (c *Config) execute(g *graph.Graph, opt RunOptions, useIEP bool, visit func
 // configuration's over-count factors.
 //
 //graphpi:deterministic
-func (c *Config) runCompiled(comp *Compiled, g *graph.Graph, opt RunOptions, workers, nv int, edgePar bool, auxArena int64, stop *atomic.Bool) int64 {
+func (c *Config) runCompiled(comp *Compiled, g *graph.Graph, opt RunOptions, workers, nv int, edgePar bool, stop *atomic.Bool) int64 {
 	var total int64
 	if comp.tier == TierGenerated {
 		counts := make([]int64, workers)
@@ -380,9 +352,6 @@ func (c *Config) runCompiled(comp *Compiled, g *graph.Graph, opt RunOptions, wor
 				if opt.Stats != nil {
 					s.SetStats(telemetry.NewRunStats(c.n))
 				}
-				if comp.aux {
-					s.SetAux(auxgraph.New(g, auxArena))
-				}
 				states[w] = s
 			}
 			if edgePar {
@@ -400,26 +369,11 @@ func (c *Config) runCompiled(comp *Compiled, g *graph.Graph, opt RunOptions, wor
 		for _, s := range states {
 			if s != nil {
 				total += s.Count()
-				foldAuxStats(s.Stats(), s.Aux())
 				opt.Stats.Merge(s.Stats())
 			}
 		}
 	}
 	return total * comp.scaleNum / comp.scaleDen
-}
-
-// foldAuxStats copies a worker's auxiliary-graph counters into its telemetry
-// shard (before the shard is merged); a nil shard or scratch is a no-op.
-func foldAuxStats(dst *telemetry.RunStats, a *auxgraph.Aux) {
-	if dst == nil || a == nil {
-		return
-	}
-	st := a.Stats()
-	dst.Aux.Roots += st.Roots
-	dst.Aux.Rows += st.Rows
-	dst.Aux.Bytes += st.Bytes
-	dst.Aux.Hits += st.Hits
-	dst.Aux.Skips += st.Skips
 }
 
 // effectiveIEPK returns the IEP suffix actually usable at run time (0 when
@@ -501,14 +455,6 @@ type runner struct {
 	calc    *iep.Calculator
 	iepSets [][]uint32
 	iepBMs  []vertexset.Bitmap
-
-	// aux, when non-nil, is this worker's auxiliary-graph scratch and
-	// auxModes the configuration's per-step classification; runSteps then
-	// serves eligible intersections from pruned rows, falling back to the
-	// full CSR row on a miss (counts are identical either way). Counters
-	// handed to external runtimes never set it.
-	aux      *auxgraph.Aux
-	auxModes [][]auxStepMode
 }
 
 func newRunner(cfg *Config, g *graph.Graph, useIEP bool, visit func([]uint32) bool, stop *atomic.Bool) *runner {
@@ -553,7 +499,6 @@ func (r *runner) runRoot(start, end int) {
 			return
 		}
 		r.bound[0] = uint32(v)
-		r.beginAuxRoot(uint32(v))
 		switch {
 		case n == 1:
 			r.leaf()
@@ -588,7 +533,6 @@ func (r *runner) runRootEdges(start, end int) {
 			stop = end
 		}
 		r.bound[0] = v
-		r.beginAuxRoot(v)
 		if lst := r.st.Level(0); lst != nil {
 			lst.Scan(1, 0)
 		}
@@ -740,47 +684,13 @@ next:
 	}
 }
 
-// beginAuxRoot switches the aux scratch to a new root subtree; one branch
-// when pruning is disabled. Consecutive calls with the same root (an edge-
-// parallel root's slot groups landing on one worker) keep the built rows.
-func (r *runner) beginAuxRoot(v uint32) {
-	if r.aux == nil {
-		return
-	}
-	var bm vertexset.Bitmap
-	if r.hasHubs {
-		bm = r.g.HubBitmap(v)
-	}
-	r.aux.BeginRoot(v, r.g.Neighbors(v), bm)
-}
-
 // runSteps executes the intersections hoisted to this depth, picking the
 // kernel per step: when either input is a hub adjacency with a precomputed
 // bitmap and the other side is smaller, the O(|small|) bitmap probe replaces
-// the scalar merge/gallop. Aux-eligible steps (computeAuxModes) first try the
-// root's pruned row: a copy when the left operand is N(v0) itself, a
-// narrower intersection otherwise; both are exact substitutions, and a
-// declined row falls through to the full-row path below.
+// the scalar merge/gallop.
 func (r *runner) runSteps(depth int) {
 	lst := r.st.Level(depth)
-	var modes []auxStepMode
-	if r.aux != nil && depth < len(r.auxModes) {
-		modes = r.auxModes[depth]
-	}
-	for i, stp := range r.cfg.plan.Steps[depth] {
-		if modes != nil && modes[i] != auxStepNone {
-			if row, ok := r.aux.Row(r.bound[stp.Depth]); ok {
-				if lst != nil {
-					lst.Intersect(telemetry.KernelAux)
-				}
-				if modes[i] == auxStepCopy {
-					r.bufs[stp.Out] = append(r.bufs[stp.Out][:0], row...)
-				} else {
-					r.bufs[stp.Out] = vertexset.Intersect(r.bufs[stp.Out], r.bufs[stp.LeftBuf], row)
-				}
-				continue
-			}
-		}
+	for _, stp := range r.cfg.plan.Steps[depth] {
 		var left []uint32
 		var leftBM vertexset.Bitmap
 		if stp.LeftBuf >= 0 {

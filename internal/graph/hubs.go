@@ -21,9 +21,10 @@ import (
 const DefaultHubDegreeFloor = 64
 
 // DefaultHubBudget is the bitmap memory budget BuildHubBitmaps applies when
-// the caller passes budget <= 0 (64 MiB — roughly 500 hub bitmaps on a
-// million-vertex graph).
-const DefaultHubBudget = 64 << 20
+// the caller passes budget <= 0 (96 MiB — roughly 770 hub bitmaps on a
+// million-vertex graph). It is the only hub-budget default: the facade,
+// the CLI, the service and snapshot loads all fall back to it.
+const DefaultHubBudget = 96 << 20
 
 // BuildHubBitmaps precomputes packed adjacency bitsets for the top-K
 // vertices by degree, with K chosen as the largest count keeping the total

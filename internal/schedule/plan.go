@@ -62,11 +62,6 @@ type Plan struct {
 	Steps [][]Step
 	// NumBufs is the number of intersection buffers the program needs.
 	NumBufs int
-	// BufParents[b] is the bitmask of depths whose neighborhoods buffer b
-	// intersects: buffer b holds ∩ N(v_d) over the set bits d. Consumers use
-	// it to reason about containment — e.g. a buffer whose mask includes
-	// depth 0 is a subset of N(v0), which licenses auxiliary-graph pruning.
-	BufParents []uint16
 }
 
 // BuildPlan compiles the schedule against the pattern. The pattern here must
@@ -117,7 +112,6 @@ func (p *Plan) ensureChain(chainBuf map[uint16]int, parents []int) int {
 		buf = p.NumBufs
 		p.NumBufs++
 		chainBuf[prefixMask] = buf
-		p.BufParents = append(p.BufParents, prefixMask)
 		d := parents[1]
 		p.Steps[d] = append(p.Steps[d], Step{
 			Depth: d, LeftBuf: -1, LeftParent: parents[0], Out: buf, PrefixLen: 2,
@@ -133,7 +127,6 @@ func (p *Plan) ensureChain(chainBuf map[uint16]int, parents []int) int {
 		buf := p.NumBufs
 		p.NumBufs++
 		chainBuf[prefixMask] = buf
-		p.BufParents = append(p.BufParents, prefixMask)
 		d := parents[t]
 		p.Steps[d] = append(p.Steps[d], Step{
 			Depth: d, LeftBuf: prevBuf, LeftParent: -1, Out: buf, PrefixLen: t + 1,

@@ -23,13 +23,11 @@ type backend interface {
 	// name tags job records and metrics.
 	name() string
 	// count runs the configuration to completion or ctx cancellation. tier
-	// selects the local execution tier and aux the auxiliary-graph pruning
-	// mode; the cluster backend ignores both (the wire protocol runs the
-	// plain interpreter on every worker — counts are bit-identical, so a
-	// query moving between backends only changes speed). stats, when
+	// selects the local execution tier; the cluster backend ignores it (the
+	// wire protocol runs the interpreter on every worker). stats, when
 	// non-nil, receives the run's per-level telemetry — local backend only,
 	// since the wire protocol reduces counts, not counters.
-	count(ctx context.Context, cfg *core.Config, g *graph.Graph, useIEP bool, workers int, tier core.Tier, aux core.AuxMode, stats *telemetry.RunStats) (int64, error)
+	count(ctx context.Context, cfg *core.Config, g *graph.Graph, useIEP bool, workers int, tier core.Tier, stats *telemetry.RunStats) (int64, error)
 }
 
 // localBackend runs on the in-process engine with the job's worker budget.
@@ -37,8 +35,8 @@ type localBackend struct{}
 
 func (localBackend) name() string { return "local" }
 
-func (localBackend) count(ctx context.Context, cfg *core.Config, g *graph.Graph, useIEP bool, workers int, tier core.Tier, aux core.AuxMode, stats *telemetry.RunStats) (int64, error) {
-	opt := core.RunOptions{Workers: workers, Tier: tier, Stats: stats, Aux: aux}
+func (localBackend) count(ctx context.Context, cfg *core.Config, g *graph.Graph, useIEP bool, workers int, tier core.Tier, stats *telemetry.RunStats) (int64, error) {
+	opt := core.RunOptions{Workers: workers, Tier: tier, Stats: stats}
 	if useIEP {
 		return cfg.CountIEPCtx(ctx, g, opt)
 	}
@@ -164,7 +162,7 @@ func (b *clusterBackend) poolStats() (st cluster.PoolStats, known bool) {
 	return st, true
 }
 
-func (b *clusterBackend) count(ctx context.Context, cfg *core.Config, g *graph.Graph, useIEP bool, workers int, _ core.Tier, _ core.AuxMode, _ *telemetry.RunStats) (int64, error) {
+func (b *clusterBackend) count(ctx context.Context, cfg *core.Config, g *graph.Graph, useIEP bool, workers int, _ core.Tier, _ *telemetry.RunStats) (int64, error) {
 	b.jobMu.Lock()
 	defer b.jobMu.Unlock()
 	var lastErr error

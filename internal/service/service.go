@@ -255,13 +255,12 @@ type queryRequest struct {
 	graphName   string
 	patternSpec string
 	useIEP      bool
-	backendName string       // "", "auto", "local", "cluster"
-	workers     int          // requested budget; 0 → the per-job default
-	planner     string       // "" | "graphzero"
-	limit       int64        // enumerate: stop after this many embeddings (0 = all)
-	tier        core.Tier    // requested execution tier (local backend only)
-	aux         core.AuxMode // auxiliary-graph pruning (local backend only)
-	profile     bool         // collect per-level run stats + drift (?profile=1)
+	backendName string    // "", "auto", "local", "cluster"
+	workers     int       // requested budget; 0 → the per-job default
+	planner     string    // "" | "graphzero"
+	limit       int64     // enumerate: stop after this many embeddings (0 = all)
+	tier        core.Tier // requested execution tier (local backend only)
+	profile     bool      // collect per-level run stats + drift (?profile=1)
 }
 
 // queryResult is the outcome of a count job (and the trailer of an
@@ -434,7 +433,7 @@ func (s *Server) runCount(ctx context.Context, req queryRequest) (*queryResult, 
 
 	j.setRunning(be.name(), workers, hit)
 	t0 := time.Now()
-	count, err := be.count(ctx, cfg, rg.g, req.useIEP, workers, req.tier, req.aux, stats)
+	count, err := be.count(ctx, cfg, rg.g, req.useIEP, workers, req.tier, stats)
 	execSec := time.Since(t0).Seconds()
 	mCountQueries.Inc()
 	mQueryLatency.Observe(time.Since(t0))

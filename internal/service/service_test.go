@@ -355,6 +355,9 @@ func TestServiceTierSelection(t *testing.T) {
 		{"/count?graph=ba&pattern=house&tier=generated", "interpreted", wantHouse},
 		{"/count?graph=ba&pattern=k4", "generated", wantK4}, // auto → static clique suite
 		{"/count?graph=ba&pattern=k4&tier=compiled", "compiled", wantK4},
+		// Unknown parameters such as aux= are ignored, so clients that
+		// send them get the same answer.
+		{"/count?graph=ba&pattern=house&aux=force", "compiled", wantHouse},
 	}
 	for _, tc := range cases {
 		var qr queryResult

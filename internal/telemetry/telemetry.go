@@ -25,8 +25,9 @@ const (
 	KernelGallop
 	// KernelBitmap is the O(|small|) hub-bitmap probe.
 	KernelBitmap
-	// KernelAux is an intersection served from an auxiliary-graph pruned
-	// row (copied or intersected) instead of a full CSR row.
+	// KernelAux is an always-zero slot: no engine path records it. It
+	// stays only because perfbench, which reads RunStats, compiles against
+	// it, and it keeps the ?profile=1 JSON kernel array at four entries.
 	KernelAux
 	// NumKernels is the kernel family count.
 	NumKernels
@@ -45,31 +46,6 @@ func KernelName(k int) string {
 		return "aux"
 	}
 	return "unknown"
-}
-
-// AuxStats counts auxiliary-graph activity over one run: lazily built pruned
-// rows, the bytes they hold, and the reuse hits the build is amortized
-// against. Zero when the run did not enable aux pruning. Drift reports carry
-// the observed RunStats, so these land next to the per-level counters they
-// explain.
-type AuxStats struct {
-	// Roots counts root subtrees under which an auxiliary graph was active.
-	Roots uint64 `json:"roots"`
-	// Rows counts pruned rows materialized; Bytes sums their storage.
-	Rows  uint64 `json:"rows"`
-	Bytes uint64 `json:"bytes"`
-	// Hits counts intersections served from an already-built row; Skips
-	// counts fallbacks to the full CSR row (budget or membership).
-	Hits  uint64 `json:"hits"`
-	Skips uint64 `json:"skips"`
-}
-
-func (a *AuxStats) merge(o *AuxStats) {
-	a.Roots += o.Roots
-	a.Rows += o.Rows
-	a.Bytes += o.Bytes
-	a.Hits += o.Hits
-	a.Skips += o.Skips
 }
 
 // LevelStats holds the per-schedule-level counters one run accumulates.
@@ -171,8 +147,6 @@ func (l *LevelStats) merge(o *LevelStats) {
 type RunStats struct {
 	// Levels is indexed by schedule position (0 = outermost loop).
 	Levels []LevelStats `json:"levels"`
-	// Aux aggregates auxiliary-graph build/reuse counters for the run.
-	Aux AuxStats `json:"aux"`
 }
 
 // NewRunStats allocates statistics for a run over n schedule levels.
@@ -202,7 +176,6 @@ func (s *RunStats) Merge(o *RunStats) {
 	for i := 0; i < n; i++ {
 		s.Levels[i].merge(&o.Levels[i])
 	}
-	s.Aux.merge(&o.Aux)
 }
 
 // Reset zeroes every level in place, keeping the allocation.
@@ -210,7 +183,6 @@ func (s *RunStats) Reset() {
 	for i := range s.Levels {
 		s.Levels[i] = LevelStats{}
 	}
-	s.Aux = AuxStats{}
 }
 
 // TotalIntersections sums intersections over all levels.
