@@ -198,19 +198,28 @@ func TestClusterTinyGraph(t *testing.T) {
 	}
 }
 
-// starRingGraph builds the extreme-skew fixture of the single-node balance
-// test (core.TestEdgeParallelBalance): a hub adjacent to every other vertex
-// plus a ring among the non-hub vertices. Under a restriction orientation
-// that makes the max-id hub the root of essentially all the work, one
-// vertex-range task owns ~100% of the compute.
-func starRingGraph(n int) *graph.Graph {
-	bld := graph.NewBuilder(n, 2*n)
-	hub := uint32(n - 1)
-	for v := uint32(0); v+1 < hub; v++ {
+// starRingGraph builds a multi-hub variant of the extreme-skew fixture of the
+// single-node balance test (core.TestEdgeParallelBalance): the `hubs`
+// highest-id vertices are each adjacent to every lower vertex, plus a ring
+// among the non-hub vertices. Under a restriction orientation that makes the
+// higher-id endpoint the root, the hubs root essentially all the work, and
+// as long as they share one vertex-range chunk, one task owns it.
+//
+// Busy shares are wall-clock measurements, so the fixture has to make the
+// hub chunk dominate by a wide margin: with one hub the ring roots still
+// take ~30% of the compute, and on an oversubscribed host scheduler noise
+// pushes the hub rank's share below the test's gate. Three hubs raise the
+// compute share of the hub chunk to ~90%.
+func starRingGraph(n, hubs int) *graph.Graph {
+	bld := graph.NewBuilder(n, (2+hubs)*n)
+	first := uint32(n - hubs)
+	for v := uint32(0); v+1 < first; v++ {
 		bld.AddEdge(v, v+1)
 	}
-	for v := uint32(0); v < hub; v++ {
-		bld.AddEdge(hub, v)
+	for h := first; h < uint32(n); h++ {
+		for v := uint32(0); v < h; v++ {
+			bld.AddEdge(h, v)
+		}
 	}
 	g, err := bld.Build()
 	if err != nil {
@@ -241,8 +250,13 @@ func hubRootTriangle(t testing.TB) *core.Config {
 // below 2x the ideal 1/Nodes share — even when one node is an injected
 // straggler.
 func TestClusterEdgeParallelBalance(t *testing.T) {
-	const nodes = 4
-	g := starRingGraph(30000)
+	const nodes, n, hubs, chunk = 4, 100000, 3, 64
+	if (n-hubs)/chunk != (n-1)/chunk {
+		t.Fatal("fixture hubs should share one vertex-range chunk")
+	}
+	// A large fixture keeps each run's busy time well above the length of an
+	// OS time slice, so a descheduled worker cannot dominate its rank's share.
+	g := starRingGraph(n, hubs)
 	cfg := hubRootTriangle(t)
 	if !cfg.EdgeParallelEligible(false) {
 		t.Fatal("hub-root triangle should be edge-parallel eligible")
@@ -252,7 +266,7 @@ func TestClusterEdgeParallelBalance(t *testing.T) {
 	for _, tc := range transportCases {
 		t.Run(tc.name, func(t *testing.T) {
 			tr := tc.open(t, g, nodes)
-			base := Options{Nodes: nodes, WorkersPerNode: 1, ChunkSize: 64, Transport: tr}
+			base := Options{Nodes: nodes, WorkersPerNode: 1, ChunkSize: chunk, Transport: tr}
 
 			vopt := base
 			vopt.EdgeParallel = core.EdgeParallelOff
