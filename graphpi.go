@@ -306,8 +306,9 @@ func WithEdgeParallelRoots(enabled bool) Option {
 }
 
 // Tier selects the execution tier counting runs use: TierAuto (the
-// default) picks the fastest applicable — a checked-in generated kernel for
-// total-order-restricted cliques, else runtime-compiled closures — while
+// default) picks the fastest applicable — the generated tier's clique
+// counter for total-order-restricted cliques, else runtime-compiled
+// closures — while
 // TierInterpreted forces the loop-program interpreter. All tiers return
 // bit-identical counts; the choice is purely about speed. Enumeration
 // always interprets.
@@ -495,8 +496,8 @@ func (pl *Plan) PredictedCost() float64 { return pl.cfg.Cost }
 
 // ExecutionTier reports the tier a Count/CountIEP call on this plan will
 // actually run on: TierAuto resolves to the fastest applicable kernel, and
-// an unsatisfiable request (e.g. TierGenerated for a pattern with no static
-// kernel) resolves to the interpreter — the same silent fallback the engine
+// an unsatisfiable request (e.g. TierGenerated for a pattern that is not a
+// total-order-restricted clique) resolves to the interpreter — the same silent fallback the engine
 // takes. useIEP must match the intended counting call; the compiled shapes
 // differ.
 func (pl *Plan) ExecutionTier(useIEP bool) Tier {

@@ -18,9 +18,9 @@
 //     Go main package, keeping the paper's emit-and-inspect architecture
 //     reproducible from the identical lowering.
 //
-// The subpackage gen holds go:generate'd static kernels for the clique
-// suite k3..k12 — the third tier, for the named patterns the service hands
-// out most.
+// The third tier, for total-order-restricted cliques k3..k12, is not
+// lowered here: internal/core counts them with its clique counter
+// (core/clique.go).
 //
 // codegen deliberately does not import internal/core: core imports codegen
 // to build its compiled tier, and hands over a Spec instead of a Config.

@@ -4,7 +4,6 @@ import (
 	"fmt"
 
 	"graphpi/internal/codegen"
-	"graphpi/internal/codegen/gen"
 	"graphpi/internal/costmodel"
 	"graphpi/internal/graph"
 	"graphpi/internal/restrict"
@@ -19,25 +18,27 @@ import (
 //	                (internal/codegen.Compile): kernel choice frozen from
 //	                the cost model, restriction windows baked per level,
 //	                monomorphized counting leaves.
-//	generated     — checked-in go:generate'd kernels for the clique suite
-//	                k3..k12 (internal/codegen/gen), used when the planned
-//	                configuration is a total-order-restricted clique.
+//	generated     — the order-bounded clique counter (clique.go) for
+//	                k3..k12, used when the planned configuration is a
+//	                total-order-restricted clique. The name is historical:
+//	                the tier once ran go:generate'd per-size kernels, and
+//	                the CLI, the service and clients still use the label.
 //
 // All tiers return bit-identical counts; they differ only in speed.
 type Tier uint8
 
 const (
 	// TierAuto (the default) counts on the fastest applicable tier:
-	// generated when the configuration matches a static kernel, else
-	// runtime-compiled. Enumeration always interprets.
+	// generated when the configuration is a total-order-restricted clique,
+	// else runtime-compiled. Enumeration always interprets.
 	TierAuto Tier = iota
 	// TierInterpret forces the interpreter.
 	TierInterpret
 	// TierCompiled forces runtime compilation to closures.
 	TierCompiled
-	// TierGenerated forces a checked-in generated kernel; runs that have
-	// none fall back to the auto choice (Compile reports the mismatch for
-	// callers that must surface it).
+	// TierGenerated forces the clique counter; runs it cannot serve fall
+	// back to the auto choice (Compile reports the mismatch for callers
+	// that must surface it).
 	TierGenerated
 )
 
@@ -77,13 +78,8 @@ type Compiled struct {
 	tier   Tier // TierCompiled or TierGenerated
 	useIEP bool
 	kern   *codegen.Kernel // runtime-compiled closures (TierCompiled)
-	// generated clique kernels (TierGenerated); the Stats variants record
-	// per-level telemetry and are dispatched only when a run carries a
-	// RunOptions.Stats sink.
-	genRange, genEdge           gen.RangeKernel
-	genRangeStats, genEdgeStats gen.StatsRangeKernel
 	// scaleNum/scaleDen convert the raw tally into the final count. The
-	// generated kernels tally final counts directly (1/1); IEP-compiled
+	// clique counter tallies final counts directly (1/1); IEP-compiled
 	// kernels carry the configuration's over-count correction.
 	scaleNum, scaleDen int64
 	// edgeOK reports whether edge-parallel root scheduling is available.
@@ -101,7 +97,7 @@ type compiledKey struct {
 }
 
 // Compile builds (or returns the memoized) compiled execution of this
-// configuration on g: the generated static kernel when one matches, else
+// configuration on g: the clique counter when it applies, else
 // runtime-compiled closures. The service's plan cache stores Configs, so
 // the memo rides the existing fingerprint+canonical-form cache key — a
 // /count hot hit reuses the compiled kernel directly.
@@ -110,8 +106,8 @@ func (c *Config) Compile(g *graph.Graph, useIEP bool) (*Compiled, error) {
 }
 
 // CompileTier is Compile with an explicit tier request. TierGenerated
-// errors when the configuration has no static kernel; TierInterpret is not
-// a compilation and errors.
+// errors when the configuration is not a total-order-restricted clique;
+// TierInterpret is not a compilation and errors.
 func (c *Config) CompileTier(g *graph.Graph, useIEP bool, tier Tier) (*Compiled, error) {
 	switch tier {
 	case TierAuto:
@@ -123,7 +119,7 @@ func (c *Config) CompileTier(g *graph.Graph, useIEP bool, tier Tier) (*Compiled,
 	case TierGenerated:
 		if c.cliqueQ == 0 {
 			return nil, fmt.Errorf("core: no generated kernel for %s (the generated tier covers total-order-restricted cliques k%d..k%d)",
-				c.Pattern, gen.MinPattern, gen.MaxPattern)
+				c.Pattern, MinClique, MaxClique)
 		}
 	case TierCompiled:
 	default:
@@ -149,20 +145,8 @@ func (c *Config) CompileTier(g *graph.Graph, useIEP bool, tier Tier) (*Compiled,
 func (c *Config) buildCompiled(g *graph.Graph, useIEP bool, tier Tier) (*Compiled, error) {
 	cp := &Compiled{tier: tier, useIEP: useIEP, scaleNum: 1, scaleDen: 1}
 	if tier == TierGenerated {
-		fn, ok := gen.CliqueRange(c.cliqueQ)
-		efn, eok := gen.CliqueEdgeRange(c.cliqueQ)
-		if !ok || !eok {
-			return nil, fmt.Errorf("core: generated suite has no k%d kernel", c.cliqueQ)
-		}
-		cp.genRange, cp.genEdge = fn, efn
-		sfn, sok := gen.CliqueRangeStats(c.cliqueQ)
-		esfn, esok := gen.CliqueEdgeRangeStats(c.cliqueQ)
-		if !sok || !esok {
-			return nil, fmt.Errorf("core: generated suite has no k%d stats kernel", c.cliqueQ)
-		}
-		cp.genRangeStats, cp.genEdgeStats = sfn, esfn
 		// A clique's depth-1 loop iterates N(v0) by construction, so the
-		// generated kernels always have the edge-parallel shape.
+		// clique counter always has the edge-parallel shape.
 		cp.edgeOK = true
 		return cp, nil
 	}
@@ -222,17 +206,17 @@ func (c *Config) ResolveTier(g *graph.Graph, tier Tier, useIEP bool) Tier {
 }
 
 // detectCliqueKernel decides at configuration-compile time whether the
-// generated clique suite may substitute for this configuration: the
-// relabeled pattern must be the complete graph K_q with a kernel in the
-// suite, and the restriction windows' transitive closure must order every
+// clique counter may substitute for this configuration: the relabeled
+// pattern must be the complete graph K_q with MinClique ≤ q ≤ MaxClique,
+// and the restriction windows' transitive closure must order every
 // position pair exactly one way. Under a total order exactly one ordering
-// of each clique passes the restrictions, so the suite's fixed descending
-// order counts the same set — regardless of which total order the planner
-// picked. (This also makes the substitution valid for k > maxIEPExactnessN,
+// of each clique passes the restrictions, so the counter's fixed
+// descending order counts the same set — regardless of which total order
+// the planner picked. (This also makes the substitution valid for k > maxIEPExactnessN,
 // where the coset verification cannot run.)
 func (c *Config) detectCliqueKernel(w restrict.Windows) {
 	n := c.n
-	if n < gen.MinPattern || n > gen.MaxPattern {
+	if n < MinClique || n > MaxClique {
 		return
 	}
 	for i := 0; i < n; i++ {

@@ -66,7 +66,7 @@ type Config struct {
 	// freezes its intersection kernels from them (costmodel.FreezeKernels).
 	// Manually built configurations leave it nil → adaptive kernels.
 	planParams *costmodel.Params
-	// cliqueQ is nonzero when the generated clique suite may substitute
+	// cliqueQ is nonzero when the clique counter (clique.go) may substitute
 	// for this configuration (see detectCliqueKernel).
 	cliqueQ int
 

@@ -6,7 +6,6 @@ import (
 	"sync/atomic"
 	"time"
 
-	"graphpi/internal/codegen"
 	"graphpi/internal/graph"
 	"graphpi/internal/iep"
 	"graphpi/internal/schedule"
@@ -211,8 +210,8 @@ func (c *Config) execute(g *graph.Graph, opt RunOptions, useIEP bool, visit func
 	}
 	workers := taskpool.Workers(opt.Workers)
 	// Tier resolution: counting runs prefer a compiled tier; enumeration
-	// and compile failures (an explicit TierGenerated without a static
-	// kernel, a spec the lowering rejects) fall back to the interpreter.
+	// and compile failures (an explicit TierGenerated for a non-clique, a
+	// spec the lowering rejects) fall back to the interpreter.
 	var comp *Compiled
 	if visit == nil && opt.Tier != TierInterpret {
 		comp, _ = c.CompileTier(g, useIEP, opt.Tier)
@@ -292,88 +291,61 @@ func (c *Config) execute(g *graph.Graph, opt RunOptions, useIEP bool, visit func
 // runCompiled executes a compiled tier under the same scheduling and
 // cancellation machinery as the interpreter: per-worker state, the shared
 // stop flag probed at outer-loop boundaries, vertex- or edge-parallel root
-// tasks. The raw tally is scaled by the compilation's own correction —
-// generated kernels count finals directly, IEP-compiled closures carry the
+// tasks. The raw tally is scaled by the compilation's own correction — the
+// clique counter counts finals directly, IEP-compiled closures carry the
 // configuration's over-count factors.
 //
 //graphpi:deterministic
 func (c *Config) runCompiled(comp *Compiled, g *graph.Graph, opt RunOptions, workers, nv int, edgePar bool, stop *atomic.Bool) int64 {
-	var total int64
-	if comp.tier == TierGenerated {
-		counts := make([]int64, workers)
-		var shards []*telemetry.RunStats
-		if opt.Stats != nil {
-			shards = make([]*telemetry.RunStats, workers)
+	states := make([]compiledState, workers)
+	body := func(w int, rg taskpool.Range) {
+		if stop.Load() {
+			return
 		}
-		body := func(w int, rg taskpool.Range) {
-			if stop.Load() {
-				return
+		s := states[w]
+		if s == nil {
+			var st *telemetry.RunStats
+			if opt.Stats != nil {
+				st = telemetry.NewRunStats(c.n)
 			}
-			if shards != nil {
-				sh := shards[w]
-				if sh == nil {
-					sh = telemetry.NewRunStats(c.n)
-					shards[w] = sh
-				}
-				if edgePar {
-					counts[w] += comp.genEdgeStats(g, rg.Start, rg.End, stop, sh)
-				} else {
-					counts[w] += comp.genRangeStats(g, rg.Start, rg.End, stop, sh)
-				}
-				return
-			}
-			if edgePar {
-				counts[w] += comp.genEdge(g, rg.Start, rg.End, stop)
+			if comp.tier == TierGenerated {
+				s = newCliqueCounter(g, c.cliqueQ, stop, st)
 			} else {
-				counts[w] += comp.genRange(g, rg.Start, rg.End, stop)
+				cs := comp.kern.NewState(stop)
+				cs.SetStats(st)
+				s = cs
 			}
+			states[w] = s
 		}
 		if edgePar {
-			m := g.NumAdjSlots()
-			taskpool.Run(workers, m, opt.edgeChunk(m, nv, workers), body)
+			s.RunRootEdges(rg.Start, rg.End)
 		} else {
-			taskpool.Run(workers, nv, opt.chunk(nv, workers), body)
+			s.RunRoot(rg.Start, rg.End)
 		}
-		for _, n := range counts {
-			total += n
-		}
-		for _, sh := range shards {
-			opt.Stats.Merge(sh)
-		}
+	}
+	if edgePar {
+		m := g.NumAdjSlots()
+		taskpool.Run(workers, m, opt.edgeChunk(m, nv, workers), body)
 	} else {
-		states := make([]*codegen.State, workers)
-		body := func(w int, rg taskpool.Range) {
-			if stop.Load() {
-				return
-			}
-			s := states[w]
-			if s == nil {
-				s = comp.kern.NewState(stop)
-				if opt.Stats != nil {
-					s.SetStats(telemetry.NewRunStats(c.n))
-				}
-				states[w] = s
-			}
-			if edgePar {
-				s.RunRootEdges(rg.Start, rg.End)
-			} else {
-				s.RunRoot(rg.Start, rg.End)
-			}
-		}
-		if edgePar {
-			m := g.NumAdjSlots()
-			taskpool.Run(workers, m, opt.edgeChunk(m, nv, workers), body)
-		} else {
-			taskpool.Run(workers, nv, opt.chunk(nv, workers), body)
-		}
-		for _, s := range states {
-			if s != nil {
-				total += s.Count()
-				opt.Stats.Merge(s.Stats())
-			}
+		taskpool.Run(workers, nv, opt.chunk(nv, workers), body)
+	}
+	var total int64
+	for _, s := range states {
+		if s != nil {
+			total += s.Count()
+			opt.Stats.Merge(s.Stats())
 		}
 	}
 	return total * comp.scaleNum / comp.scaleDen
+}
+
+// compiledState is one worker's execution state on a compiled tier: the
+// clique counter or a runtime-compiled kernel's codegen.State.
+type compiledState interface {
+	RunRoot(start, end int)
+	RunRootEdges(start, end int)
+	Count() int64
+	Stats() *telemetry.RunStats
 }
 
 // effectiveIEPK returns the IEP suffix actually usable at run time (0 when

@@ -411,14 +411,11 @@ func (s *Server) runCount(ctx context.Context, req queryRequest) (*queryResult, 
 	// Surface the lowering phase as its own span. The compile memo lives on
 	// the cached configuration, so this is real work on the first run of a
 	// plan and a lookup afterwards — the span durations show exactly that.
+	// ResolveTier compiles through that memo and reports the interpreter
+	// when compilation fails, the same fallback the engine takes.
 	if s.opt.Tracer != nil && local {
 		tComp := time.Now()
 		rt := cfg.ResolveTier(rg.g, req.tier, req.useIEP)
-		if rt != core.TierInterpret {
-			if _, cerr := cfg.CompileTier(rg.g, req.useIEP, rt); cerr != nil {
-				rt = core.TierInterpret // engine will fall back the same way
-			}
-		}
 		s.opt.Tracer.Span("compile", tComp, map[string]string{"tier": rt.String()})
 	}
 

@@ -320,8 +320,8 @@ func TestServiceCacheStampede(t *testing.T) {
 
 // TestServiceTierSelection: the tier query parameter picks the local
 // execution tier, the result labels the kernel that actually ran (including
-// the silent interpreter fallback when a requested static kernel does not
-// exist for the pattern), counts stay bit-identical across tiers, and the
+// the silent interpreter fallback when the requested tier cannot serve the
+// pattern), counts stay bit-identical across tiers, and the
 // compiled-plan memo rides the plan cache so a hot /count hit re-enters the
 // compiled kernel without recompiling.
 func TestServiceTierSelection(t *testing.T) {
@@ -350,10 +350,10 @@ func TestServiceTierSelection(t *testing.T) {
 		{"/count?graph=ba&pattern=house", "compiled", wantHouse}, // auto → runtime-compiled
 		{"/count?graph=ba&pattern=house&tier=interpret", "interpreted", wantHouse},
 		{"/count?graph=ba&pattern=house&tier=compiled", "compiled", wantHouse},
-		// No static kernel exists for the house: the engine falls back to the
-		// interpreter and the result says so.
+		// The generated tier serves only cliques: the engine falls back to
+		// the interpreter for the house and the result says so.
 		{"/count?graph=ba&pattern=house&tier=generated", "interpreted", wantHouse},
-		{"/count?graph=ba&pattern=k4", "generated", wantK4}, // auto → static clique suite
+		{"/count?graph=ba&pattern=k4", "generated", wantK4}, // auto → clique counter
 		{"/count?graph=ba&pattern=k4&tier=compiled", "compiled", wantK4},
 		// Unknown parameters such as aux= are ignored, so clients that
 		// send them get the same answer.
