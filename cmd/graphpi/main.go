@@ -66,8 +66,7 @@ func main() {
 		hubFloor    = flag.Int("hub-floor", 0, "minimum degree for a hub bitmap with -hybrid (0 = default 64)")
 		baseline    = flag.Bool("graphzero", false, "plan like the GraphZero baseline")
 		edgePar     = flag.String("edge-parallel", "auto", "root task shape: auto, on, or off")
-		tierName    = flag.String("tier", "auto", "counting execution tier: auto, interpret, compiled or generated")
-		compiled    = flag.Bool("compiled", false, "shorthand for -tier compiled")
+		tierName    = flag.String("tier", "auto", "counting execution tier: auto (clique counter for cliques, else interpreter), interpret or generated")
 		nodes       = flag.Int("nodes", 0, "count on a simulated cluster with this many nodes (0 = single process)")
 		nodeWorkers = flag.Int("node-workers", 2, "worker goroutines per simulated node with -nodes")
 		serveAddr   = flag.String("serve", "", "run as a cluster worker process listening on this address (e.g. :9421)")
@@ -100,7 +99,6 @@ func main() {
 		list:        *list,
 		emitGo:      *emitGo,
 		tierName:    *tierName,
-		compiled:    *compiled,
 		pprofOn:     *pprofOn,
 		statsOn:     *statsOn,
 	}); err != nil {
@@ -109,9 +107,6 @@ func main() {
 	tier, err := graphpi.ParseTier(*tierName)
 	if err != nil {
 		failUsage(err)
-	}
-	if *compiled {
-		tier = graphpi.TierCompiled
 	}
 	workerAddrs, err := parseAddrList("-join", *joinAddrs)
 	if err != nil {
@@ -209,7 +204,7 @@ func main() {
 			fmt.Fprintln(os.Stderr, "graphpi: -workers is ignored in cluster modes; use -node-workers")
 		}
 		if tier != graphpi.TierAuto {
-			fmt.Fprintln(os.Stderr, "graphpi: -tier/-compiled are ignored in cluster modes (the data plane interprets)")
+			fmt.Fprintln(os.Stderr, "graphpi: -tier is ignored in cluster modes (the data plane interprets)")
 		}
 		runCluster(g, p, *nodes, *nodeWorkers, *useIEP, workerAddrs, opts)
 		return
@@ -300,7 +295,6 @@ type flagState struct {
 	clusterWk, emitGo                string
 	list                             bool
 	tierName                         string
-	compiled                         bool
 	pprofOn, statsOn                 bool
 }
 
@@ -374,19 +368,14 @@ func validateFlags(f flagState) error {
 		}
 	}
 
-	// Tier flags steer the one-shot query engine. -compiled is sugar for
-	// -tier compiled, so naming a *different* tier alongside it is a
-	// contradiction, not a preference. "" and "auto" both mean the default.
-	explicitTier := f.tierName != "" && f.tierName != "auto"
-	if f.compiled && explicitTier && f.tierName != "compiled" {
-		return fmt.Errorf("-compiled contradicts -tier %s (drop one)", f.tierName)
-	}
-	if f.compiled || explicitTier {
+	// The tier flag steers the one-shot query engine. "" and "auto" both
+	// mean the default.
+	if f.tierName != "" && f.tierName != "auto" {
 		switch {
 		case f.serverAddr != "":
-			return fmt.Errorf("-tier/-compiled do not apply to -server (pass tier= per query instead)")
+			return fmt.Errorf("-tier does not apply to -server (pass tier= per query instead)")
 		case f.serveAddr != "":
-			return fmt.Errorf("-tier/-compiled do not apply to -serve (the cluster data plane interprets)")
+			return fmt.Errorf("-tier does not apply to -serve (the cluster data plane interprets)")
 		}
 	}
 

@@ -41,6 +41,9 @@ func TestValidateFlagsModeExclusivity(t *testing.T) {
 		{"negative plan cache", func(f *flagState) { f.serverAddr = ":8080"; f.cacheBytes = -1 }, "-plan-cache"},
 		{"bad server addr", func(f *flagState) { f.serverAddr = "8080" }, "not host:port"},
 		{"bad serve addr", func(f *flagState) { f.serveAddr = "no-port" }, "not host:port"},
+		{"tier generated+server", func(f *flagState) { f.serverAddr = ":8080"; f.tierName = "generated" }, "-tier does not apply to -server"},
+		{"tier generated+serve", func(f *flagState) { f.serveAddr = ":9421"; f.tierName = "generated" }, "-tier does not apply to -serve"},
+		{"tier interpret only", func(f *flagState) { f.tierName = "interpret" }, ""},
 	}
 	for _, tc := range cases {
 		f := base

@@ -1,10 +1,9 @@
-// Command kernelbench measures the execution-tier compiler: the same
-// counting jobs run on the loop-program interpreter, on the runtime-compiled
-// closure kernels, and (for total-order-restricted cliques) on the
+// Command kernelbench measures the clique tier against the interpreter: the
+// same clique-counting jobs run on the loop-program interpreter and on the
 // generated tier's clique counter — single-core, so the numbers isolate
-// kernel quality from scheduling. Counts must be bit-identical across tiers; only the time may
-// move. The results land in a JSON report so CI can track the perf
-// trajectory across PRs.
+// kernel quality from scheduling. Counts must be bit-identical across
+// tiers; only the time may move. The results land in a JSON report so CI
+// can track the perf trajectory across PRs.
 //
 // Run with:
 //
@@ -28,12 +27,12 @@ import (
 
 type result struct {
 	Pattern string  `json:"pattern"`
-	Tier    string  `json:"tier"` // interpreted | compiled | generated
+	Tier    string  `json:"tier"` // interpreted | generated
 	IEP     bool    `json:"iep"`
 	Count   int64   `json:"count"`
 	Seconds float64 `json:"seconds"`
 	// Speedup is interpreted_seconds / seconds for the same pattern: 1.0 on
-	// the interpreter rows, >1 when a compiled tier wins.
+	// the interpreter rows, >1 when the clique counter wins.
 	Speedup float64 `json:"speedup_vs_interpreted"`
 }
 
@@ -60,8 +59,7 @@ func main() {
 	flag.Parse()
 
 	// The skewed fixture every other benchmark uses, on the optimized view
-	// (degree-ordered + hub bitmaps) a resident service would deploy: the
-	// bitmap kernel is one of the choices the compiler freezes.
+	// (degree-ordered + hub bitmaps) a resident service would deploy.
 	g := deployedView(graph.BarabasiAlbert(*n, *m, 4242))
 	// BA(n, 5) holds few cliques (k4/k5 count 180/33), so those rows time
 	// the root scan. The *-planted rows count on a clique-heavy fixture
@@ -84,8 +82,6 @@ func main() {
 		p    *pattern.Pattern
 		g    *graph.Graph
 	}{
-		{"house", pattern.House(), g},
-		{"pentagon", pattern.Pentagon(), g},
 		{"k4", pattern.Clique(4), g},
 		{"k5", pattern.Clique(5), g},
 		{"k5-planted", pattern.Clique(5), pg},
@@ -102,8 +98,7 @@ func main() {
 
 		run := func(tier core.Tier) (int64, float64) {
 			opt := core.RunOptions{Workers: 1, Tier: tier}
-			// One warm-up rep pays the compile (amortized in a resident
-			// service by the plan cache) and faults the graph hot.
+			// One warm-up rep faults the graph hot.
 			count := cfg.CountIEP(g, opt)
 			best := 0.0
 			for r := 0; r < *reps; r++ {
@@ -125,26 +120,24 @@ func main() {
 		})
 		fmt.Printf("%-8s %-11s count=%d time=%.3fs\n", pc.name, core.TierInterpret, want, base)
 
-		for _, tier := range []core.Tier{core.TierCompiled, core.TierGenerated} {
-			// Skip tiers the configuration cannot satisfy (the generated
-			// tier serves only cliques) instead of silently timing the
-			// interpreter fallback.
-			if cfg.ResolveTier(g, tier, useIEP) != tier {
-				continue
-			}
-			count, secs := run(tier)
-			if count != want {
-				log.Fatalf("%s/%s: count %d != interpreted %d", pc.name, tier, count, want)
-			}
-			speedup := base / secs
-			key := pc.name + "/" + tier.String()
-			rep.Speedups[key] = speedup
-			rep.Results = append(rep.Results, result{
-				Pattern: pc.name, Tier: tier.String(), IEP: useIEP,
-				Count: count, Seconds: secs, Speedup: speedup,
-			})
-			fmt.Printf("%-8s %-11s count=%d time=%.3fs speedup=%.2fx\n", pc.name, tier, count, secs, speedup)
+		// Every row is a clique, so the generated tier serves it; check
+		// rather than silently timing the interpreter fallback.
+		tier := core.TierGenerated
+		if cfg.ResolveTier(g, tier, useIEP) != tier {
+			log.Fatalf("%s: the generated tier cannot serve this configuration", pc.name)
 		}
+		count, secs := run(tier)
+		if count != want {
+			log.Fatalf("%s/%s: count %d != interpreted %d", pc.name, tier, count, want)
+		}
+		speedup := base / secs
+		key := pc.name + "/" + tier.String()
+		rep.Speedups[key] = speedup
+		rep.Results = append(rep.Results, result{
+			Pattern: pc.name, Tier: tier.String(), IEP: useIEP,
+			Count: count, Seconds: secs, Speedup: speedup,
+		})
+		fmt.Printf("%-8s %-11s count=%d time=%.3fs speedup=%.2fx\n", pc.name, tier, count, secs, speedup)
 	}
 
 	data, err := json.MarshalIndent(&rep, "", "  ")

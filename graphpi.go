@@ -306,10 +306,10 @@ func WithEdgeParallelRoots(enabled bool) Option {
 }
 
 // Tier selects the execution tier counting runs use: TierAuto (the
-// default) picks the fastest applicable — the generated tier's clique
-// counter for total-order-restricted cliques, else runtime-compiled
-// closures — while
-// TierInterpreted forces the loop-program interpreter. All tiers return
+// default) picks the generated tier's clique counter for
+// total-order-restricted cliques and the loop-program interpreter for
+// everything else, TierInterpreted forces the interpreter, and
+// TierGenerated requests the clique counter. Both tiers return
 // bit-identical counts; the choice is purely about speed. Enumeration
 // always interprets.
 type Tier = core.Tier
@@ -317,7 +317,6 @@ type Tier = core.Tier
 const (
 	TierAuto        = core.TierAuto
 	TierInterpreted = core.TierInterpret
-	TierCompiled    = core.TierCompiled
 	TierGenerated   = core.TierGenerated
 )
 
@@ -363,7 +362,7 @@ func WithRunStats(st *RunStats) Option { return func(o *options) { o.stats = st 
 func WithTracer(t *Tracer) Option { return func(o *options) { o.tracer = t } }
 
 // ParseTier parses a tier name as accepted by the CLI and the query service
-// ("auto", "interpret"/"interpreted", "compiled", "generated").
+// ("auto", "interpret"/"interpreted", "generated").
 func ParseTier(s string) (Tier, error) { return core.ParseTier(s) }
 
 // Plan is a compiled, ready-to-run matching configuration for one
@@ -419,20 +418,14 @@ func (pl *Plan) CountIEP() int64 {
 	return n
 }
 
-// traceCompile surfaces the lowering phase as its own span when tracing: the
-// compile memo lives on the configuration, so the first call does real work
-// and later ones are lookups — visible as such in the span durations.
+// traceCompile surfaces tier resolution as its own span when tracing, so a
+// trace names the tier every run executed on.
 func (pl *Plan) traceCompile(useIEP bool) {
 	if pl.opts.tracer == nil {
 		return
 	}
 	t0 := time.Now()
 	rt := pl.cfg.ResolveTier(pl.g.g, pl.opts.tier, useIEP)
-	if rt != core.TierInterpret {
-		if _, err := pl.cfg.CompileTier(pl.g.g, useIEP, rt); err != nil {
-			rt = core.TierInterpret // the engine falls back the same way
-		}
-	}
 	pl.opts.tracer.Span("compile", t0, map[string]string{"tier": rt.String()})
 }
 
@@ -495,11 +488,11 @@ func (pl *Plan) PrepTime() time.Duration { return pl.prep }
 func (pl *Plan) PredictedCost() float64 { return pl.cfg.Cost }
 
 // ExecutionTier reports the tier a Count/CountIEP call on this plan will
-// actually run on: TierAuto resolves to the fastest applicable kernel, and
-// an unsatisfiable request (e.g. TierGenerated for a pattern that is not a
-// total-order-restricted clique) resolves to the interpreter — the same silent fallback the engine
-// takes. useIEP must match the intended counting call; the compiled shapes
-// differ.
+// actually run on: TierAuto resolves to the clique counter or the
+// interpreter, and an unsatisfiable request (TierGenerated for a pattern
+// that is not a total-order-restricted clique) resolves to the interpreter
+// — the same silent fallback the engine takes. useIEP names the intended
+// counting call.
 func (pl *Plan) ExecutionTier(useIEP bool) Tier {
 	return pl.cfg.ResolveTier(pl.g.g, pl.opts.tier, useIEP)
 }

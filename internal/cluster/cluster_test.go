@@ -390,9 +390,10 @@ func TestClusterDefaultsNormalize(t *testing.T) {
 }
 
 // TestClusterMatchesCompiledTiers pins the cluster data plane (interpreted
-// Counters on every rank) against the local compiled and generated
-// execution tiers: the same configuration must produce bit-identical counts
-// whichever side of the backend split runs it.
+// Counters on every rank) against a local run on the auto tier (the clique
+// counter for the cliques, the interpreter otherwise): the same
+// configuration must produce bit-identical counts whichever side of the
+// backend split runs it.
 func TestClusterMatchesCompiledTiers(t *testing.T) {
 	g := graph.BarabasiAlbert(300, 5, 31)
 	cases := []struct {
@@ -407,24 +408,22 @@ func TestClusterMatchesCompiledTiers(t *testing.T) {
 	}
 	for _, tc := range cases {
 		cfg := planFor(t, g, tc.pat)
-		for _, tier := range []core.Tier{core.TierCompiled, core.TierAuto} {
-			var local int64
-			if tc.useIEP {
-				local = cfg.CountIEP(g, core.RunOptions{Workers: 2, Tier: tier})
-			} else {
-				local = cfg.Count(g, core.RunOptions{Workers: 2, Tier: tier})
-			}
-			res, err := Run(cfg, g, Options{
-				Nodes: 3, WorkersPerNode: 2, UseIEP: tc.useIEP,
-				Transport: NewChanTransport(),
-			})
-			if err != nil {
-				t.Fatal(err)
-			}
-			if res.Count != local {
-				t.Errorf("%s iep=%v: cluster %d, local tier %s %d",
-					tc.pat, tc.useIEP, res.Count, tier, local)
-			}
+		var local int64
+		if tc.useIEP {
+			local = cfg.CountIEP(g, core.RunOptions{Workers: 2, Tier: core.TierAuto})
+		} else {
+			local = cfg.Count(g, core.RunOptions{Workers: 2, Tier: core.TierAuto})
+		}
+		res, err := Run(cfg, g, Options{
+			Nodes: 3, WorkersPerNode: 2, UseIEP: tc.useIEP,
+			Transport: NewChanTransport(),
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if res.Count != local {
+			t.Errorf("%s iep=%v: cluster %d, local auto tier %d",
+				tc.pat, tc.useIEP, res.Count, local)
 		}
 	}
 }

@@ -6,7 +6,6 @@ import (
 	"path/filepath"
 	"strconv"
 	"strings"
-	"sync/atomic"
 	"testing"
 
 	"graphpi/internal/codegen"
@@ -61,38 +60,12 @@ func TestLowerShape(t *testing.T) {
 	if prog.N != cfg.N() || len(prog.Levels) != cfg.N() {
 		t.Fatalf("lowered %d levels, want %d", len(prog.Levels), cfg.N())
 	}
-	if prog.IEPCut != -1 {
-		t.Errorf("source spec lowered with IEP cut %d, want -1", prog.IEPCut)
-	}
 	if !prog.Levels[cfg.N()-1].IsLeaf {
 		t.Error("last level not marked leaf")
 	}
 	for d, lv := range prog.Levels {
 		if lv.Depth != d {
 			t.Errorf("level %d records depth %d", d, lv.Depth)
-		}
-	}
-}
-
-// TestCompileMatchesEngine runs the closure backend directly against the
-// interpreted engine on the plain-enumeration spec — the codegen-level
-// equivalence check (the full tier matrix lives in internal/core).
-func TestCompileMatchesEngine(t *testing.T) {
-	g := graph.BarabasiAlbert(300, 4, 11)
-	for _, p := range []*pattern.Pattern{pattern.Triangle(), pattern.House(), pattern.Rectangle()} {
-		cfg := configFor(t, p)
-		want := cfg.Count(g, core.RunOptions{Workers: 1, Tier: core.TierInterpret})
-
-		prog, err := codegen.Lower(cfg.SourceSpec())
-		if err != nil {
-			t.Fatal(err)
-		}
-		kern := codegen.Compile(prog, g)
-		var stop atomic.Bool
-		st := kern.NewState(&stop)
-		st.RunRoot(0, g.NumVertices())
-		if got := st.Count(); got != want {
-			t.Errorf("%s: compiled closures counted %d, engine %d", p, got, want)
 		}
 	}
 }

@@ -8,19 +8,16 @@ import (
 )
 
 // GenerateSource renders the spec as a complete standalone Go main package —
-// the paper's emit-and-inspect artifact. It consumes the same lowered
-// Program as the closure backend, so the emitted nest and the runtime-
-// compiled kernels are the same loop structure by construction: restriction
-// windows become break/continue guards, injectivity checks shrink to the
-// lowering's residual duplicate list, and a window-free counting leaf
-// collapses to a length add.
+// the paper's emit-and-inspect artifact. Restriction windows become
+// break/continue guards, injectivity checks shrink to the lowering's
+// residual duplicate list, and a window-free counting leaf collapses to a
+// length add.
 //
 // The emitted program is self-contained (stdlib only): it loads an
 // edge-list graph from argv[1], runs the hard-coded loop nest, and prints
 // the embedding count. Tests compile and run it with the host toolchain and
 // compare against the interpreted engine.
 func GenerateSource(spec Spec) (string, error) {
-	spec.KIEP = 0 // the standalone program enumerates the full nest
 	prog, err := Lower(spec)
 	if err != nil {
 		return "", err

@@ -44,9 +44,6 @@ func newCliqueCounter(g *graph.Graph, q int, stop *atomic.Bool, st *telemetry.Ru
 	return k
 }
 
-func (k *cliqueCounter) Count() int64               { return k.count }
-func (k *cliqueCounter) Stats() *telemetry.RunStats { return k.st }
-
 // RunRoot counts cliques whose v0 lies in the vertex range [start, end).
 // The stop flag is probed once per root vertex.
 //

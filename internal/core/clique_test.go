@@ -21,7 +21,7 @@ func countCliques(g *graph.Graph, q int, edges bool, cuts []int, stop *atomic.Bo
 			k.RunRoot(cuts[i], cuts[i+1])
 		}
 	}
-	return k.Count()
+	return k.count
 }
 
 func binom(n, k int) int64 {

@@ -4,172 +4,90 @@ import (
 	"fmt"
 
 	"graphpi/internal/codegen"
-	"graphpi/internal/costmodel"
 	"graphpi/internal/graph"
 	"graphpi/internal/restrict"
 )
 
 // Tier selects the execution tier for counting runs. The engine offers
-// three (paper Figure 3 compiles every configuration; we tier it):
+// two (paper Figure 3 compiles every configuration; here only cliques get a
+// dedicated kernel):
 //
-//	interpret     — the loop-program interpreter (engine.go); always
-//	                available, the only tier that can enumerate.
-//	runtime-compile — the configuration compiled to specialized closures
-//	                (internal/codegen.Compile): kernel choice frozen from
-//	                the cost model, restriction windows baked per level,
-//	                monomorphized counting leaves.
-//	generated     — the order-bounded clique counter (clique.go) for
-//	                k3..k12, used when the planned configuration is a
-//	                total-order-restricted clique. The name is historical:
-//	                the tier once ran go:generate'd per-size kernels, and
-//	                the CLI, the service and clients still use the label.
+//	interpret — the loop-program interpreter (engine.go); always
+//	            available, the only tier that can enumerate.
+//	generated — the order-bounded clique counter (clique.go) for
+//	            k3..k12, used when the planned configuration is a
+//	            total-order-restricted clique. The name is historical:
+//	            the tier once ran go:generate'd per-size kernels, and
+//	            the CLI, the service and clients still use the label.
 //
-// All tiers return bit-identical counts; they differ only in speed.
+// Both tiers return bit-identical counts; they differ only in speed.
 type Tier uint8
 
 const (
-	// TierAuto (the default) counts on the fastest applicable tier:
-	// generated when the configuration is a total-order-restricted clique,
-	// else runtime-compiled. Enumeration always interprets.
+	// TierAuto (the default) counts on the clique counter when the
+	// configuration is a total-order-restricted clique, else on the
+	// interpreter. Enumeration always interprets.
 	TierAuto Tier = iota
 	// TierInterpret forces the interpreter.
 	TierInterpret
-	// TierCompiled forces runtime compilation to closures.
+	// TierCompiled is retired: it named the runtime-compiled closure
+	// tier, deleted because it did not pay for a second engine over the
+	// interpreter (DESIGN.md §9). The value keeps its slot so the other
+	// tiers keep theirs; ParseTier no longer accepts it, CompileTier
+	// rejects it, and runs requesting it interpret.
 	TierCompiled
 	// TierGenerated forces the clique counter; runs it cannot serve fall
-	// back to the auto choice (Compile reports the mismatch for callers
-	// that must surface it).
+	// back to the interpreter (CompileTier reports the mismatch for
+	// callers that must surface it).
 	TierGenerated
 )
 
 func (t Tier) String() string {
 	switch t {
+	case TierAuto:
+		return "auto"
 	case TierInterpret:
 		return "interpreted"
-	case TierCompiled:
-		return "compiled"
 	case TierGenerated:
 		return "generated"
-	default:
-		return "auto"
 	}
+	return fmt.Sprintf("tier(%d)", uint8(t))
 }
 
 // ParseTier parses a tier name as accepted by the CLI and the service
-// ("auto", "interpret"/"interpreted", "compiled", "generated").
+// ("auto", "interpret"/"interpreted", "generated").
 func ParseTier(s string) (Tier, error) {
 	switch s {
 	case "", "auto":
 		return TierAuto, nil
 	case "interpret", "interpreted":
 		return TierInterpret, nil
-	case "compiled":
-		return TierCompiled, nil
 	case "generated":
 		return TierGenerated, nil
 	}
-	return TierAuto, fmt.Errorf("core: unknown tier %q (want auto, interpret, compiled or generated)", s)
+	return TierAuto, fmt.Errorf("core: unknown tier %q (want auto, interpret or generated)", s)
 }
 
-// Compiled is a configuration bound to one data graph on one compiled tier,
-// ready to run. Immutable and shared across workers; per-worker state is
-// created inside the engine.
-type Compiled struct {
-	tier   Tier // TierCompiled or TierGenerated
-	useIEP bool
-	kern   *codegen.Kernel // runtime-compiled closures (TierCompiled)
-	// scaleNum/scaleDen convert the raw tally into the final count. The
-	// clique counter tallies final counts directly (1/1); IEP-compiled
-	// kernels carry the configuration's over-count correction.
-	scaleNum, scaleDen int64
-	// edgeOK reports whether edge-parallel root scheduling is available.
-	edgeOK bool
+// CompileTier checks that a counting run with this request executes on a
+// compiled tier and returns that tier. The clique counter is the only
+// compiled tier, and it has nothing to build per configuration, so this is
+// a check: TierAuto and TierGenerated succeed for total-order-restricted
+// cliques, everything else errors (the run then interprets).
+func (c *Config) CompileTier(g *graph.Graph, useIEP bool, tier Tier) (Tier, error) {
+	if tier != TierAuto && tier != TierGenerated {
+		return TierInterpret, fmt.Errorf("core: tier %s is not a compiled tier", tier)
+	}
+	if c.ResolveTier(g, tier, useIEP) != TierGenerated {
+		return TierInterpret, fmt.Errorf("core: no generated kernel for %s (the generated tier covers total-order-restricted cliques k%d..k%d)",
+			c.Pattern, MinClique, MaxClique)
+	}
+	return TierGenerated, nil
 }
 
-// Tier returns the tier this compilation runs on (TierCompiled or
-// TierGenerated).
-func (cp *Compiled) Tier() Tier { return cp.tier }
-
-type compiledKey struct {
-	g      *graph.Graph
-	useIEP bool
-	tier   Tier
-}
-
-// Compile builds (or returns the memoized) compiled execution of this
-// configuration on g: the clique counter when it applies, else
-// runtime-compiled closures. The service's plan cache stores Configs, so
-// the memo rides the existing fingerprint+canonical-form cache key — a
-// /count hot hit reuses the compiled kernel directly.
-func (c *Config) Compile(g *graph.Graph, useIEP bool) (*Compiled, error) {
-	return c.CompileTier(g, useIEP, TierAuto)
-}
-
-// CompileTier is Compile with an explicit tier request. TierGenerated
-// errors when the configuration is not a total-order-restricted clique;
-// TierInterpret is not a compilation and errors.
-func (c *Config) CompileTier(g *graph.Graph, useIEP bool, tier Tier) (*Compiled, error) {
-	switch tier {
-	case TierAuto:
-		if c.cliqueQ > 0 {
-			tier = TierGenerated
-		} else {
-			tier = TierCompiled
-		}
-	case TierGenerated:
-		if c.cliqueQ == 0 {
-			return nil, fmt.Errorf("core: no generated kernel for %s (the generated tier covers total-order-restricted cliques k%d..k%d)",
-				c.Pattern, MinClique, MaxClique)
-		}
-	case TierCompiled:
-	default:
-		return nil, fmt.Errorf("core: tier %s is not a compiled tier", tier)
-	}
-	key := compiledKey{g: g, useIEP: useIEP, tier: tier}
-	c.compileMu.Lock()
-	defer c.compileMu.Unlock()
-	if cp, ok := c.compiled[key]; ok {
-		return cp, nil
-	}
-	cp, err := c.buildCompiled(g, useIEP, tier)
-	if err != nil {
-		return nil, err
-	}
-	if c.compiled == nil {
-		c.compiled = make(map[compiledKey]*Compiled)
-	}
-	c.compiled[key] = cp
-	return cp, nil
-}
-
-func (c *Config) buildCompiled(g *graph.Graph, useIEP bool, tier Tier) (*Compiled, error) {
-	cp := &Compiled{tier: tier, useIEP: useIEP, scaleNum: 1, scaleDen: 1}
-	if tier == TierGenerated {
-		// A clique's depth-1 loop iterates N(v0) by construction, so the
-		// clique counter always has the edge-parallel shape.
-		cp.edgeOK = true
-		return cp, nil
-	}
-	spec := c.lowerSpec(useIEP)
-	if c.planParams != nil {
-		spec.Kernels = costmodel.FreezeKernels(c.plan, c.n, *c.planParams, g.NumHubs() > 0)
-	}
-	prog, err := codegen.Lower(spec)
-	if err != nil {
-		return nil, err
-	}
-	cp.kern = codegen.Compile(prog, g)
-	if useIEP && c.effectiveIEPK() >= 1 {
-		cp.scaleNum, cp.scaleDen = c.iepNum, c.iepDen
-	}
-	cp.edgeOK = cp.kern.EdgeCapable() && c.EdgeParallelEligible(useIEP)
-	return cp, nil
-}
-
-// lowerSpec produces the neutral description internal/codegen consumes —
-// the seam that keeps codegen free of a core dependency.
-func (c *Config) lowerSpec(useIEP bool) codegen.Spec {
-	spec := codegen.Spec{
+// SourceSpec is the Spec for the source backend (codegen.GenerateSource):
+// the full enumeration nest of this configuration.
+func (c *Config) SourceSpec() codegen.Spec {
+	return codegen.Spec{
 		N:            c.n,
 		Plan:         c.plan,
 		Lowers:       c.lowers,
@@ -179,30 +97,17 @@ func (c *Config) lowerSpec(useIEP bool) codegen.Spec {
 		Schedule:     c.Schedule.String(),
 		Restrictions: c.Restrictions.String(),
 	}
-	if useIEP && c.effectiveIEPK() >= 1 {
-		spec.KIEP = c.kIEP
-		spec.IEPNum, spec.IEPDen = c.iepNum, c.iepDen
-	}
-	return spec
 }
 
-// SourceSpec is the Spec for the source backend (codegen.GenerateSource):
-// the full enumeration nest, kernel choices left adaptive — emitted source
-// carries its own minimal runtime.
-func (c *Config) SourceSpec() codegen.Spec { return c.lowerSpec(false) }
-
 // ResolveTier reports the tier a counting run with the given request would
-// execute on (the tier /count responses label results with). Enumeration
-// always interprets, as do configurations a compiled tier cannot host.
+// execute on (the tier /count responses label results with): the clique
+// counter when auto or generated is requested for a total-order-restricted
+// clique, else the interpreter. Enumeration always interprets.
 func (c *Config) ResolveTier(g *graph.Graph, tier Tier, useIEP bool) Tier {
-	if tier == TierInterpret {
-		return TierInterpret
+	if c.cliqueQ > 0 && (tier == TierAuto || tier == TierGenerated) {
+		return TierGenerated
 	}
-	cp, err := c.CompileTier(g, useIEP, tier)
-	if err != nil {
-		return TierInterpret
-	}
-	return cp.tier
+	return TierInterpret
 }
 
 // detectCliqueKernel decides at configuration-compile time whether the

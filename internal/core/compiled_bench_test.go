@@ -28,7 +28,7 @@ func BenchmarkTiers(b *testing.B) {
 			b.Fatal(err)
 		}
 		cfg := res.Best
-		for _, tier := range []Tier{TierInterpret, TierCompiled, TierGenerated} {
+		for _, tier := range []Tier{TierInterpret, TierGenerated} {
 			if cfg.ResolveTier(g, tier, true) != tier {
 				continue
 			}

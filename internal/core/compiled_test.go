@@ -1,13 +1,11 @@
 package core
 
 import (
-	"math/rand/v2"
 	"testing"
 
 	"graphpi/internal/graph"
 	"graphpi/internal/pattern"
 	"graphpi/internal/restrict"
-	"graphpi/internal/schedule"
 	"graphpi/internal/telemetry"
 )
 
@@ -62,10 +60,10 @@ func matrixCompare(t *testing.T, name string, cfg *Config, g *graph.Graph, tiers
 	}
 }
 
-// TestCompiledTierMatrixNamedPatterns runs the paper's evaluation patterns
-// through the full tier × workers × scheduling matrix on plain and
-// bitmap-accelerated graphs.
-func TestCompiledTierMatrixNamedPatterns(t *testing.T) {
+// TestTierMatrixNamedPatterns runs the paper's evaluation patterns
+// through the auto tier × workers × scheduling matrix on plain and
+// bitmap-accelerated graphs, against the single-worker interpreter.
+func TestTierMatrixNamedPatterns(t *testing.T) {
 	g := graph.BarabasiAlbert(250, 4, 7)
 	gHub := graph.BarabasiAlbert(250, 4, 7)
 	gHub.BuildHubBitmaps(1<<24, 8)
@@ -84,7 +82,7 @@ func TestCompiledTierMatrixNamedPatterns(t *testing.T) {
 		cfg := res.Best
 		for _, gg := range []*graph.Graph{g, gHub} {
 			for _, useIEP := range []bool{false, true} {
-				matrixCompare(t, p.Name(), cfg, gg, []Tier{TierAuto, TierCompiled}, useIEP)
+				matrixCompare(t, p.Name(), cfg, gg, []Tier{TierAuto}, useIEP)
 			}
 		}
 	}
@@ -123,7 +121,7 @@ func TestGeneratedCliqueTierMatrix(t *testing.T) {
 		if cfg.cliqueQ != q {
 			t.Fatalf("K%d chain config did not detect a generated kernel (cliqueQ=%d)", q, cfg.cliqueQ)
 		}
-		tiers := []Tier{TierAuto, TierCompiled, TierGenerated}
+		tiers := []Tier{TierAuto, TierGenerated}
 		for _, gg := range []*graph.Graph{g, gHub} {
 			matrixCompare(t, cfg.Pattern.Name(), cfg, gg, tiers, false)
 			if q <= maxIEPExactnessN {
@@ -137,103 +135,34 @@ func TestGeneratedCliqueTierMatrix(t *testing.T) {
 func TestTierResolution(t *testing.T) {
 	g := graph.BarabasiAlbert(50, 3, 3)
 	k4 := cliqueConfig(t, 4)
-	if got := k4.ResolveTier(g, TierAuto, false); got != TierGenerated {
-		t.Errorf("K4 auto tier = %s, want generated", got)
-	}
-	if got := k4.ResolveTier(g, TierCompiled, false); got != TierCompiled {
-		t.Errorf("K4 compiled tier = %s, want compiled", got)
-	}
-	if got := k4.ResolveTier(g, TierInterpret, false); got != TierInterpret {
-		t.Errorf("K4 interpret tier = %s, want interpreted", got)
-	}
 	res, err := Plan(pattern.House(), g.Stats(), PlanOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	house := res.Best
-	if got := house.ResolveTier(g, TierAuto, true); got != TierCompiled {
-		t.Errorf("House auto tier = %s, want compiled", got)
-	}
-	// House has no generated kernel: explicit requests must fall back.
-	if got := house.ResolveTier(g, TierGenerated, false); got != TierInterpret {
-		t.Errorf("House generated tier resolves to %s, want interpreted fallback", got)
-	}
-	if _, err := house.CompileTier(g, false, TierGenerated); err == nil {
-		t.Error("CompileTier(TierGenerated) on House: want error")
-	}
-	if _, err := house.CompileTier(g, false, TierInterpret); err == nil {
-		t.Error("CompileTier(TierInterpret): want error")
-	}
-}
-
-// TestCompileMemoised pins that repeated counting runs reuse the same
-// compiled kernel (the service's hot-hit path relies on this).
-func TestCompileMemoised(t *testing.T) {
-	g := graph.BarabasiAlbert(50, 3, 3)
-	cfg := cliqueConfig(t, 4)
-	cp1, err := cfg.Compile(g, false)
-	if err != nil {
-		t.Fatal(err)
-	}
-	cp2, err := cfg.Compile(g, false)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if cp1 != cp2 {
-		t.Error("Compile built a second kernel for the same (graph, IEP, tier)")
-	}
-	cp3, err := cfg.CompileTier(g, false, TierCompiled)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if cp3 == cp1 {
-		t.Error("different tiers share one memo entry")
-	}
-}
-
-// TestCompiledRandomizedConfigs is the property test: random graphs,
-// random connected patterns, random valid schedules with the generated
-// restriction sets — every tier must agree with the interpreter, including
-// configurations the planner would never pick.
-func TestCompiledRandomizedConfigs(t *testing.T) {
-	rng := rand.New(rand.NewPCG(11, 17))
-	pats := pattern.AllConnected(4)
-	pats = append(pats, pattern.AllConnected(5)...)
-	for trial := 0; trial < 25; trial++ {
-		g := graph.GNM(60+rng.IntN(60), 200+rng.IntN(300), rng.Uint64())
-		p := pats[rng.IntN(len(pats))]
-		sres := schedule.Generate(p, schedule.Options{KeepEliminated: true})
-		// Include eliminated schedules too: their CandFull loops exercise
-		// the compiled full-scan path the planner never picks.
-		scheds := append(append([]schedule.Schedule(nil), sres.Efficient...), sres.Eliminated...)
-		s := scheds[rng.IntN(len(scheds))]
-		sets, err := restrict.Generate(p, restrict.Options{})
-		if err != nil {
-			t.Fatal(err)
+	// Every tier value, the retired one included: only auto and generated
+	// reach the clique counter, and only for a clique; everything else
+	// interprets and is no compiled tier.
+	for tier := TierAuto; tier <= TierGenerated+1; tier++ {
+		compiled := tier == TierAuto || tier == TierGenerated
+		want := TierInterpret
+		if compiled {
+			want = TierGenerated
 		}
-		rs := sets[rng.IntN(len(sets))]
-		if rng.IntN(4) == 0 {
-			rs = nil // restriction-free: duplicate checks must survive compilation
+		if got := k4.ResolveTier(g, tier, false); got != want {
+			t.Errorf("K4 tier %s resolves to %s, want %s", tier, got, want)
 		}
-		cfg, err := NewConfig(p, s, rs)
-		if err != nil {
-			t.Fatalf("trial %d: %v", trial, err)
+		if _, err := k4.CompileTier(g, false, tier); (err == nil) != compiled {
+			t.Errorf("K4 CompileTier(%s) error = %v, want error %v", tier, err, !compiled)
 		}
-		for _, useIEP := range []bool{false, true} {
-			count := func(tier Tier, workers int) int64 {
-				opt := RunOptions{Workers: workers, Tier: tier}
-				if useIEP {
-					return cfg.CountIEP(g, opt)
-				}
-				return cfg.Count(g, opt)
-			}
-			want := count(TierInterpret, 1)
-			for _, tier := range []Tier{TierAuto, TierCompiled} {
-				if got := count(tier, 1+rng.IntN(4)); got != want {
-					t.Errorf("trial %d %s sched=%v restr=%v iep=%v tier=%s: %d, interpreter %d",
-						trial, p, s, rs, useIEP, tier, got, want)
-				}
-			}
+		if got := house.ResolveTier(g, tier, true); got != TierInterpret {
+			t.Errorf("House tier %s resolves to %s, want interpreted", tier, got)
 		}
+		if _, err := house.CompileTier(g, true, tier); err == nil {
+			t.Errorf("House CompileTier(%s): want error", tier)
+		}
+	}
+	if _, err := ParseTier("compiled"); err == nil {
+		t.Error(`ParseTier("compiled") accepted the retired tier`)
 	}
 }

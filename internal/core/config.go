@@ -13,7 +13,6 @@ package core
 import (
 	"fmt"
 	"math"
-	"sync"
 
 	"graphpi/internal/costmodel"
 	"graphpi/internal/iep"
@@ -62,18 +61,13 @@ type Config struct {
 	// iepDen with iepNum = 1 for complete restriction sets).
 	iepNum, iepDen int64
 	// planParams, when set by the planner, carries the data-graph
-	// statistics the configuration was costed against; the compiled tier
-	// freezes its intersection kernels from them (costmodel.FreezeKernels).
-	// Manually built configurations leave it nil → adaptive kernels.
+	// statistics the configuration was costed against; drift reports
+	// re-cost the plan from them. Manually built configurations leave it
+	// nil.
 	planParams *costmodel.Params
 	// cliqueQ is nonzero when the clique counter (clique.go) may substitute
 	// for this configuration (see detectCliqueKernel).
 	cliqueQ int
-
-	compileMu sync.Mutex
-	// compiled memoizes compiled tiers per (graph, IEP, tier); guarded by
-	// compileMu.
-	compiled map[compiledKey]*Compiled
 }
 
 // NewConfig compiles a configuration. The schedule must be a permutation of

@@ -57,9 +57,10 @@ type RunOptions struct {
 	// the *Ctx methods to get the context error directly.
 	Context context.Context
 	// Tier selects the execution tier for counting runs (see Tier).
-	// TierAuto picks generated > runtime-compiled; enumeration and runs a
-	// compiled tier cannot host fall back to the interpreter. Counts are
-	// bit-identical across tiers, so the choice is purely about speed.
+	// TierAuto picks the clique counter for total-order-restricted
+	// cliques; enumeration and every other configuration interpret.
+	// Counts are bit-identical across tiers, so the choice is purely about
+	// speed.
 	Tier Tier
 	// Stats, when non-nil, enables per-level telemetry: every worker
 	// records into a private shard and the shards are merged into Stats
@@ -209,13 +210,10 @@ func (c *Config) execute(g *graph.Graph, opt RunOptions, useIEP bool, visit func
 		return 0, true
 	}
 	workers := taskpool.Workers(opt.Workers)
-	// Tier resolution: counting runs prefer a compiled tier; enumeration
-	// and compile failures (an explicit TierGenerated for a non-clique, a
-	// spec the lowering rejects) fall back to the interpreter.
-	var comp *Compiled
-	if visit == nil && opt.Tier != TierInterpret {
-		comp, _ = c.CompileTier(g, useIEP, opt.Tier)
-	}
+	// Tier resolution: counting runs on a total-order-restricted clique take
+	// the clique counter unless the interpreter is forced; enumeration and
+	// every other configuration interpret.
+	clique := visit == nil && c.ResolveTier(g, opt.Tier, useIEP) == TierGenerated
 	var stop, aborted atomic.Bool
 	if opt.Budget > 0 {
 		timer := time.AfterFunc(opt.Budget, func() {
@@ -239,15 +237,14 @@ func (c *Config) execute(g *graph.Graph, opt RunOptions, useIEP bool, visit func
 			}
 		}()
 	}
-	eligible := c.EdgeParallelEligible(useIEP)
-	if comp != nil {
-		eligible = comp.edgeOK
-	}
+	// A clique's depth-1 loop iterates N(v0) by construction, so the clique
+	// counter always has the edge-parallel shape.
+	eligible := clique || c.EdgeParallelEligible(useIEP)
 	edgePar := eligible &&
 		opt.EdgeParallel != EdgeParallelOff &&
 		(opt.EdgeParallel == EdgeParallelOn || workers > 1)
-	if comp != nil {
-		total := c.runCompiled(comp, g, opt, workers, nv, edgePar, &stop)
+	if clique {
+		total := c.runClique(g, opt, workers, nv, edgePar, &stop)
 		return total, !aborted.Load()
 	}
 	runners := make([]*runner, workers)
@@ -288,16 +285,14 @@ func (c *Config) execute(g *graph.Graph, opt RunOptions, useIEP bool, visit func
 	return total, !aborted.Load()
 }
 
-// runCompiled executes a compiled tier under the same scheduling and
+// runClique executes the clique counter under the same scheduling and
 // cancellation machinery as the interpreter: per-worker state, the shared
 // stop flag probed at outer-loop boundaries, vertex- or edge-parallel root
-// tasks. The raw tally is scaled by the compilation's own correction — the
-// clique counter counts finals directly, IEP-compiled closures carry the
-// configuration's over-count factors.
+// tasks. The counter tallies final counts directly, so nothing is scaled.
 //
 //graphpi:deterministic
-func (c *Config) runCompiled(comp *Compiled, g *graph.Graph, opt RunOptions, workers, nv int, edgePar bool, stop *atomic.Bool) int64 {
-	states := make([]compiledState, workers)
+func (c *Config) runClique(g *graph.Graph, opt RunOptions, workers, nv int, edgePar bool, stop *atomic.Bool) int64 {
+	states := make([]*cliqueCounter, workers)
 	body := func(w int, rg taskpool.Range) {
 		if stop.Load() {
 			return
@@ -308,13 +303,7 @@ func (c *Config) runCompiled(comp *Compiled, g *graph.Graph, opt RunOptions, wor
 			if opt.Stats != nil {
 				st = telemetry.NewRunStats(c.n)
 			}
-			if comp.tier == TierGenerated {
-				s = newCliqueCounter(g, c.cliqueQ, stop, st)
-			} else {
-				cs := comp.kern.NewState(stop)
-				cs.SetStats(st)
-				s = cs
-			}
+			s = newCliqueCounter(g, c.cliqueQ, stop, st)
 			states[w] = s
 		}
 		if edgePar {
@@ -332,20 +321,11 @@ func (c *Config) runCompiled(comp *Compiled, g *graph.Graph, opt RunOptions, wor
 	var total int64
 	for _, s := range states {
 		if s != nil {
-			total += s.Count()
-			opt.Stats.Merge(s.Stats())
+			total += s.count
+			opt.Stats.Merge(s.st)
 		}
 	}
-	return total * comp.scaleNum / comp.scaleDen
-}
-
-// compiledState is one worker's execution state on a compiled tier: the
-// clique counter or a runtime-compiled kernel's codegen.State.
-type compiledState interface {
-	RunRoot(start, end int)
-	RunRootEdges(start, end int)
-	Count() int64
-	Stats() *telemetry.RunStats
+	return total
 }
 
 // effectiveIEPK returns the IEP suffix actually usable at run time (0 when
@@ -563,14 +543,22 @@ func (r *runner) runList(depth int, cands []uint32) {
 	lst := r.st.Level(depth)
 	if lst != nil {
 		lst.Scan(len(cands), raw-len(cands))
-		defer lst.ScanTimerEnd(lst.ScanTimerStart())
 	}
 	isLeaf := depth == cfg.n-1
-	atCut := depth == r.iepCut
 	// dupCheck lists only the earlier positions whose distinctness is not
 	// already implied by candidate provenance or the restriction window —
 	// usually none, so the O(depth) scan of the seed engine disappears.
 	dup := cfg.dupCheck[depth]
+	if isLeaf && len(dup) == 0 && r.visit == nil {
+		// A counting leaf that nothing filters: every candidate left in the
+		// window is one embedding, so count them by length.
+		r.count += int64(len(cands))
+		return
+	}
+	if lst != nil {
+		defer lst.ScanTimerEnd(lst.ScanTimerStart())
+	}
+	atCut := depth == r.iepCut
 next:
 	for _, v := range cands {
 		for _, p := range dup {
@@ -662,41 +650,41 @@ next:
 // the scalar merge/gallop.
 func (r *runner) runSteps(depth int) {
 	lst := r.st.Level(depth)
-	for _, stp := range r.cfg.plan.Steps[depth] {
+	g, bufs, bound := r.g, r.bufs, r.bound
+	steps := r.cfg.plan.Steps[depth]
+	for i := range steps {
+		stp := &steps[i]
 		var left []uint32
-		var leftBM vertexset.Bitmap
 		if stp.LeftBuf >= 0 {
-			left = r.bufs[stp.LeftBuf]
+			left = bufs[stp.LeftBuf]
 		} else {
-			lp := r.bound[stp.LeftParent]
-			left = r.g.Neighbors(lp)
-			if r.hasHubs {
-				leftBM = r.g.HubBitmap(lp)
-			}
+			left = g.Neighbors(bound[stp.LeftParent])
 		}
-		rv := r.bound[stp.Depth]
-		right := r.g.Neighbors(rv)
-		out := r.bufs[stp.Out][:0]
+		rv := bound[stp.Depth]
+		right := g.Neighbors(rv)
+		out := bufs[stp.Out][:0]
 		if r.hasHubs {
-			if bm := r.g.HubBitmap(rv); bm != nil && len(left) <= len(right) {
+			if bm := g.HubBitmap(rv); bm != nil && len(left) <= len(right) {
 				if lst != nil {
 					lst.Intersect(telemetry.KernelBitmap)
 				}
-				r.bufs[stp.Out] = vertexset.IntersectBitmap(out, left, bm)
+				bufs[stp.Out] = vertexset.IntersectBitmap(out, left, bm)
 				continue
 			}
-			if leftBM != nil && len(right) < len(left) {
-				if lst != nil {
-					lst.Intersect(telemetry.KernelBitmap)
+			if stp.LeftBuf < 0 && len(right) < len(left) {
+				if leftBM := g.HubBitmap(bound[stp.LeftParent]); leftBM != nil {
+					if lst != nil {
+						lst.Intersect(telemetry.KernelBitmap)
+					}
+					bufs[stp.Out] = vertexset.IntersectBitmap(out, right, leftBM)
+					continue
 				}
-				r.bufs[stp.Out] = vertexset.IntersectBitmap(out, right, leftBM)
-				continue
 			}
 		}
 		if lst != nil {
 			lst.Intersect(telemetry.ClassifyIntersect(len(left), len(right), vertexset.GallopRatio))
 		}
-		r.bufs[stp.Out] = vertexset.Intersect(out, left, right)
+		bufs[stp.Out] = vertexset.Intersect(out, left, right)
 	}
 }
 

@@ -34,7 +34,7 @@ import (
 // optional when exactly one graph is resident), pattern (a named pattern or
 // "n:adjacency"), iep (default true for /count), backend (auto|local|
 // cluster), workers (per-job budget cap), planner (graphpi|graphzero),
-// tier (count: auto|interpret|compiled|generated; local backend only),
+// tier (count: auto|interpret|generated; local backend only),
 // profile (count: collect per-level run stats and a cost-model drift report
 // into the result's "profile" field), and limit (enumerate: stop after N
 // embeddings). /explain accepts the same graph/pattern/iep/planner/tier

@@ -408,11 +408,10 @@ func (s *Server) runCount(ctx context.Context, req queryRequest) (*queryResult, 
 		defer s.workers.Release(w)
 	}
 
-	// Surface the lowering phase as its own span. The compile memo lives on
-	// the cached configuration, so this is real work on the first run of a
-	// plan and a lookup afterwards — the span durations show exactly that.
-	// ResolveTier compiles through that memo and reports the interpreter
-	// when compilation fails, the same fallback the engine takes.
+	// Surface tier resolution as its own span, so a trace names the tier
+	// the run executes on. ResolveTier reports the interpreter for
+	// requests the clique counter cannot serve, the same fallback the
+	// engine takes.
 	if s.opt.Tracer != nil && local {
 		tComp := time.Now()
 		rt := cfg.ResolveTier(rg.g, req.tier, req.useIEP)
@@ -456,11 +455,8 @@ func (s *Server) runCount(ctx context.Context, req queryRequest) (*queryResult, 
 	}
 	res.Schedule = cfg.Schedule.String()
 	// Label the execution tier. The cluster wire protocol runs the
-	// interpreter on every worker; local jobs resolve through the same
-	// memo the engine consulted, so the label names the kernel that
-	// actually ran. Because the configuration (and its compiled-plan memo)
-	// lives in the plan cache, a hot /count hit re-enters the compiled
-	// kernel without re-lowering anything.
+	// interpreter on every worker; local jobs resolve the tier the way the
+	// engine did, so the label names the kernel that actually ran.
 	if local {
 		res.Tier = cfg.ResolveTier(rg.g, req.tier, req.useIEP).String()
 	} else {

@@ -321,9 +321,8 @@ func TestServiceCacheStampede(t *testing.T) {
 // TestServiceTierSelection: the tier query parameter picks the local
 // execution tier, the result labels the kernel that actually ran (including
 // the silent interpreter fallback when the requested tier cannot serve the
-// pattern), counts stay bit-identical across tiers, and the
-// compiled-plan memo rides the plan cache so a hot /count hit re-enters the
-// compiled kernel without recompiling.
+// pattern), counts stay bit-identical across tiers, unknown tier names are
+// rejected, and a hot /count hit keeps its tier label.
 func TestServiceTierSelection(t *testing.T) {
 	g := baFixture(300, 4, 7)
 	s := newTestServer(t, g, Options{})
@@ -347,17 +346,16 @@ func TestServiceTierSelection(t *testing.T) {
 		tier string
 		want int64
 	}{
-		{"/count?graph=ba&pattern=house", "compiled", wantHouse}, // auto → runtime-compiled
+		{"/count?graph=ba&pattern=house", "interpreted", wantHouse}, // auto → interpreter
 		{"/count?graph=ba&pattern=house&tier=interpret", "interpreted", wantHouse},
-		{"/count?graph=ba&pattern=house&tier=compiled", "compiled", wantHouse},
 		// The generated tier serves only cliques: the engine falls back to
 		// the interpreter for the house and the result says so.
 		{"/count?graph=ba&pattern=house&tier=generated", "interpreted", wantHouse},
 		{"/count?graph=ba&pattern=k4", "generated", wantK4}, // auto → clique counter
-		{"/count?graph=ba&pattern=k4&tier=compiled", "compiled", wantK4},
+		{"/count?graph=ba&pattern=k4&tier=interpret", "interpreted", wantK4},
 		// Unknown parameters such as aux= are ignored, so clients that
 		// send them get the same answer.
-		{"/count?graph=ba&pattern=house&aux=force", "compiled", wantHouse},
+		{"/count?graph=ba&pattern=house&aux=force", "interpreted", wantHouse},
 	}
 	for _, tc := range cases {
 		var qr queryResult
@@ -372,39 +370,21 @@ func TestServiceTierSelection(t *testing.T) {
 		}
 	}
 
-	if code := getJSON(t, base+"/count?graph=ba&pattern=house&tier=quantum", nil); code != 400 {
-		t.Fatalf("unknown tier status %d, want 400", code)
+	// "compiled" named the retired closure tier; it is now unknown like
+	// any other name.
+	for _, tier := range []string{"quantum", "compiled"} {
+		if code := getJSON(t, base+"/count?graph=ba&pattern=house&tier="+tier, nil); code != 400 {
+			t.Fatalf("tier=%s status %d, want 400", tier, code)
+		}
 	}
 
-	// Hot hit: the repeat is a plan-cache hit and still runs compiled — the
-	// compiled-plan memo lives on the cached configuration, so the kernel
-	// built for the cold query is reused, not rebuilt.
+	// Hot hit: the repeat is a plan-cache hit and keeps its tier label.
 	var warm queryResult
 	if code := getJSON(t, base+"/count?graph=ba&pattern=house", &warm); code != 200 {
 		t.Fatalf("warm count status %d", code)
 	}
-	if warm.Cache != "hit" || warm.Tier != "compiled" || warm.Count != wantHouse {
-		t.Fatalf("warm query = %+v, want hit/compiled/%d", warm, wantHouse)
-	}
-	rg, err := s.resolveGraph("ba")
-	if err != nil {
-		t.Fatal(err)
-	}
-	pat, _ := pattern.Parse("house")
-	cfg, _, hit, err := s.plan(rg, pat, "")
-	if err != nil || !hit {
-		t.Fatalf("cached config lookup: hit=%v err=%v", hit, err)
-	}
-	c1, err := cfg.CompileTier(g, true, core.TierAuto)
-	if err != nil {
-		t.Fatal(err)
-	}
-	c2, err := cfg.CompileTier(g, true, core.TierAuto)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if c1 != c2 {
-		t.Fatal("compiled-plan memo did not reuse the kernel on the cached config")
+	if warm.Cache != "hit" || warm.Tier != "interpreted" || warm.Count != wantHouse {
+		t.Fatalf("warm query = %+v, want hit/interpreted/%d", warm, wantHouse)
 	}
 }
 
